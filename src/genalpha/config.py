@@ -195,10 +195,15 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(('integrator', 'n_steps'))}: n_steps must be >= 1")
 
-    n_elements = got(("spatial", "n_elements")) or 32
+    n_elements = _or(got(("spatial", "n_elements")), 32)
     if n_elements < 2:
         raise ConfigurationError(
             f"line {line_of(('spatial', 'n_elements'))}: n_elements must be >= 2")
+
+    t_final = _or(got(("integrator", "t_final")), 1.0)
+    if not t_final > 0.0:
+        raise ConfigurationError(
+            f"line {line_of(('integrator', 't_final'))}: t_final must be > 0")
 
     return ExperimentConfig(
         experiment=name,
@@ -212,7 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
         dt_schedule=dt_schedule,
         schedule_repeats=repeats,
         n_steps=n_steps,
-        t_final=got(("integrator", "t_final")) or 1.0,
+        t_final=t_final,
         n_elements=n_elements,
         a=_or(got(("spatial", "a")), 1.0),
         kappa=_or(got(("spatial", "kappa")), 0.01),

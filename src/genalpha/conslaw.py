@@ -13,7 +13,9 @@ Three discretizations of U_t + F(U, U_x)_x = S on the periodic unit interval:
 
 Linear nodal basis, 3-point Gauss quadrature per element everywhere, so the
 balance totals are identities of the same discrete integrals the residual
-uses.
+uses.  Every kernel works on all quadrature points at once: fields are
+(n_el, 3, p) arrays, the models and the variable map take stacked points
+(..., p), and `PeriodicFemSpace` integrates and assembles them.
 """
 
 from __future__ import annotations
@@ -23,17 +25,43 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigurationError, NewtonConvergenceError
+from .errors import AdmissibilityError, ConfigurationError
 from .integrator import GenAlphaParams, NewtonSettings, StatePair, _newton
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
 _QW = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
+_W = np.asarray(_QW)
+_PHI = np.stack([1.0 - np.asarray(_QP), np.asarray(_QP)], axis=1)  # (q, local node)
+_DPHI_REF = np.array([-1.0, 1.0])  # dx * dphi/dx of the (left, right) basis
+
+
+def _first_bad(bad, x):
+    """Index of the first True of `bad` in element-major (C) order, and the
+    location to name there: x at that index, or x itself if it is scalar."""
+    i = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return i, (x if np.ndim(x) == 0 else np.broadcast_to(x, np.shape(bad))[i])
+
+
+def _stack_matrix(rows):
+    """(..., r, c) array from nested rows of broadcastable entries."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float)
+                                    for row in rows for e in row))
+    return np.stack(entries, axis=-1).reshape(
+        entries[0].shape + (len(rows), len(rows[0])))
+
+
+def _matvec(a, v):
+    return np.einsum("...jk,...k->...j", a, v)
 
 
 @dataclass(frozen=True)
 class PeriodicFemSpace:
-    """Periodic linear nodal basis on a uniform mesh of (0, 1)."""
+    """Periodic linear nodal basis on a uniform mesh of (0, 1).
+
+    Also the quadrature and assembly kernel the discretizations share: per-
+    point terms are (n_el, 3, ...) arrays indexed by element and Gauss point.
+    """
 
     n_elements: int
 
@@ -50,9 +78,53 @@ class PeriodicFemSpace:
         left = np.arange(self.n_elements) * self.dx
         return left[:, None] + self.dx * np.asarray(_QP)[None, :]
 
+    def integrate(self, values) -> np.ndarray:
+        """Domain integral of per-point values (n_el, 3, ...)."""
+        return self.dx * np.einsum("q,eq...->...", _W, values)
+
+    def assemble_rows(self, temporal, flux=None) -> np.ndarray:
+        """Rows int(temporal W) - int(flux W') from per-point (n_el, 3, p) terms."""
+        local = self.dx * np.einsum("q,qa,eqp->eap", _W, _PHI, temporal)
+        if flux is not None:
+            local -= np.einsum("a,q,eqp->eap", _DPHI_REF, _W, flux)
+        # node e is the left node of element e and the right node of e - 1
+        return (local[:, 0] + np.roll(local[:, 1], 1, axis=0)).reshape(-1)
+
+    def assemble_matrix(self, t_val, f_val, f_der, t_der=None) -> np.ndarray:
+        """Dense (m, m) derivative of `assemble_rows` from per-point blocks.
+
+        With (n_el, 3, p, p) blocks (or broadcastable ones), the block of
+        rows a and columns b is int (t_val phi_b + t_der phi_b') phi_a
+        - int (f_val phi_b + f_der phi_b') phi_a'.  np.add.at scatters onto
+        the periodic nodes, so it is also right at n_el = 2, where an
+        element's two nodes are each other's neighbours.
+        """
+        n, dx = self.n_elements, self.dx
+        dphi = _DPHI_REF / dx
+        shape = np.broadcast_shapes(np.shape(t_val), np.shape(f_val),
+                                    np.shape(f_der), (n, 3, 1, 1))
+        temporal = np.einsum("qb,eqij->eqbij", _PHI, np.broadcast_to(t_val, shape))
+        if t_der is not None:
+            temporal = temporal + np.einsum("b,eqij->eqbij", dphi,
+                                            np.broadcast_to(t_der, shape))
+        flux = (np.einsum("qb,eqij->eqbij", _PHI, np.broadcast_to(f_val, shape))
+                + np.einsum("b,eqij->eqbij", dphi, np.broadcast_to(f_der, shape)))
+        local = dx * (np.einsum("q,qa,eqbij->eabij", _W, _PHI, temporal)
+                      - np.einsum("q,a,eqbij->eabij", _W, dphi, flux))
+        e = np.arange(n)
+        nodes = np.stack([e, (e + 1) % n], axis=1)
+        p = shape[-1]
+        out = np.zeros((n, n, p, p))
+        np.add.at(out, (nodes[:, :, None], nodes[:, None, :]), local)
+        return out.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
 
 class Burgers1D:
-    """Viscous Burgers flux u^2/2 - kappa_visc * u_x, optional source s(x, t)."""
+    """Viscous Burgers flux u^2/2 - kappa_visc * u_x, optional source s(x, t).
+
+    Evaluates on stacked points u, du_dx of shape (..., 1) with x of shape
+    (...), so a source s must accept an array x.
+    """
 
     p = 1
 
@@ -63,22 +135,26 @@ class Burgers1D:
         self.s = s
 
     def flux(self, u, du_dx, x, t):
-        return np.array([0.5 * u[0] ** 2 - self.kappa_visc * du_dx[0]])
+        return 0.5 * u ** 2 - self.kappa_visc * du_dx
 
     def flux_jacobian(self, u, du_dx, x, t):
-        return np.array([[u[0]]]), np.array([[-self.kappa_visc]])
+        return u[..., None], np.full(np.shape(u) + (1,), -self.kappa_visc)
 
     def source(self, u, du_dx, x, t):
         if self.s is None:
-            return np.zeros(1)
-        return np.array([self.s(x, t)])
+            return np.zeros(np.shape(u))
+        return np.zeros(np.shape(u)) + np.asarray(self.s(x, t), dtype=float)[..., None]
 
     def source_jacobian(self, u, du_dx, x, t):
-        return np.zeros((1, 1)), np.zeros((1, 1))
+        return np.zeros(np.shape(u) + (1,)), np.zeros(np.shape(u) + (1,))
 
 
 class Euler1D:
-    """Compressible Euler in conserved variables (rho, rho*u, E), ideal gas."""
+    """Compressible Euler in conserved variables (rho, rho*u, E), ideal gas.
+
+    Evaluates on stacked points of shape (..., 3); the first inadmissible
+    point in element-major order raises, naming its x.
+    """
 
     p = 3
 
@@ -88,39 +164,42 @@ class Euler1D:
         self.gamma_gas = gamma_gas
 
     def pressure(self, u, x=None):
-        rho, mom, energy = u
-        if rho <= 0.0:
-            raise AdmissibilityError(f"nonpositive density {rho} at x={x}")
-        pres = (self.gamma_gas - 1.0) * (energy - 0.5 * mom ** 2 / rho)
-        if pres <= 0.0:
-            raise AdmissibilityError(f"nonpositive pressure {pres} at x={x}")
+        rho, mom, energy = np.moveaxis(u, -1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pres = (self.gamma_gas - 1.0) * (energy - 0.5 * mom ** 2 / rho)
+        bad = (rho <= 0.0) | (pres <= 0.0)
+        if np.any(bad):
+            i, where = _first_bad(bad, x)
+            if rho[i] <= 0.0:
+                raise AdmissibilityError(f"nonpositive density {rho[i]} at x={where}")
+            raise AdmissibilityError(f"nonpositive pressure {pres[i]} at x={where}")
         return pres
 
     def flux(self, u, du_dx, x, t):
-        rho, mom, energy = u
+        rho, mom, energy = np.moveaxis(u, -1, 0)
         pres = self.pressure(u, x)
         vel = mom / rho
-        return np.array([mom, mom * vel + pres, vel * (energy + pres)])
+        return np.stack([mom, mom * vel + pres, vel * (energy + pres)], axis=-1)
 
     def flux_jacobian(self, u, du_dx, x, t):
-        rho, mom, energy = u
+        rho, mom, energy = np.moveaxis(u, -1, 0)
         pres = self.pressure(u, x)
         g = self.gamma_gas
         vel = mom / rho
         enthalpy = (energy + pres) / rho
-        a_u = np.array([
+        a_u = _stack_matrix([
             [0.0, 1.0, 0.0],
             [0.5 * (g - 3.0) * vel ** 2, (3.0 - g) * vel, g - 1.0],
             [0.5 * (g - 1.0) * vel ** 3 - vel * enthalpy,
              enthalpy - (g - 1.0) * vel ** 2, g * vel],
         ])
-        return a_u, np.zeros((3, 3))
+        return a_u, np.zeros_like(a_u)
 
     def source(self, u, du_dx, x, t):
-        return np.zeros(3)
+        return np.zeros(np.shape(u))
 
     def source_jacobian(self, u, du_dx, x, t):
-        return np.zeros((3, 3)), np.zeros((3, 3))
+        return np.zeros(np.shape(u) + (3,)), np.zeros(np.shape(u) + (3,))
 
 
 class PressurePrimitiveMap:
@@ -128,7 +207,9 @@ class PressurePrimitiveMap:
 
     rho = p/(R*T), E = p/(gamma-1) + rho*u^2/2.  Provides the analytic
     Jacobian dU/dV and its derivative (the Hessian of U), which the modified
-    scheme's Newton linearization consumes.
+    scheme's Newton linearization consumes.  Each method takes stacked
+    points v of shape (..., 3) and an optional x of matching shape (...),
+    which an AdmissibilityError names.
     """
 
     p = 3
@@ -139,51 +220,56 @@ class PressurePrimitiveMap:
         self.gamma_gas = gamma_gas
         self.r_gas = r_gas
 
-    def _check(self, v):
-        pres, _, temp = v
-        if pres <= 0.0 or temp <= 0.0:
+    def check(self, v, x=None):
+        """Raise at the first point, element-major, with pressure or T <= 0."""
+        v = np.asarray(v)
+        bad = (v[..., 0] <= 0.0) | (v[..., 2] <= 0.0)
+        if np.any(bad):
+            i, where = _first_bad(bad, x)
+            at = "" if x is None else f" at x={where}"
             raise AdmissibilityError(
-                f"nonpositive pressure or temperature in V={tuple(v)}")
+                f"nonpositive pressure or temperature in V={tuple(v[i])}{at}")
 
-    def to_conserved(self, v):
-        self._check(v)
-        pres, vel, temp = v
+    def to_conserved(self, v, x=None):
+        self.check(v, x)
+        pres, vel, temp = np.moveaxis(v, -1, 0)
         rho = pres / (self.r_gas * temp)
-        return np.array([rho, rho * vel,
-                         pres / (self.gamma_gas - 1.0) + 0.5 * rho * vel ** 2])
+        return np.stack([rho, rho * vel,
+                         pres / (self.gamma_gas - 1.0) + 0.5 * rho * vel ** 2],
+                        axis=-1)
 
-    def jacobian(self, v):
-        self._check(v)
-        pres, vel, temp = v
+    def jacobian(self, v, x=None):
+        self.check(v, x)
+        pres, vel, temp = np.moveaxis(v, -1, 0)
         rt = self.r_gas * temp
         rho = pres / rt
-        return np.array([
+        return _stack_matrix([
             [1.0 / rt, 0.0, -rho / temp],
             [vel / rt, rho, -rho * vel / temp],
             [1.0 / (self.gamma_gas - 1.0) + 0.5 * vel ** 2 / rt, rho * vel,
              -0.5 * rho * vel ** 2 / temp],
         ])
 
-    def hessian(self, v):
-        """Second derivatives H[j, k, l] = d^2 U_j / dV_k dV_l."""
-        self._check(v)
-        pres, vel, temp = v
+    def hessian(self, v, x=None):
+        """Second derivatives H[..., j, k, l] = d^2 U_j / dV_k dV_l."""
+        self.check(v, x)
+        pres, vel, temp = np.moveaxis(v, -1, 0)
         rt = self.r_gas * temp
-        h = np.zeros((3, 3, 3))
+        h = np.zeros(np.shape(v) + (3, 3))
         # U_0 = p/(R T)
-        h[0, 0, 2] = h[0, 2, 0] = -1.0 / (rt * temp)
-        h[0, 2, 2] = 2.0 * pres / (rt * temp ** 2)
+        h[..., 0, 0, 2] = h[..., 0, 2, 0] = -1.0 / (rt * temp)
+        h[..., 0, 2, 2] = 2.0 * pres / (rt * temp ** 2)
         # U_1 = p u/(R T)
-        h[1, 0, 1] = h[1, 1, 0] = 1.0 / rt
-        h[1, 0, 2] = h[1, 2, 0] = -vel / (rt * temp)
-        h[1, 1, 2] = h[1, 2, 1] = -pres / (rt * temp)
-        h[1, 2, 2] = 2.0 * pres * vel / (rt * temp ** 2)
+        h[..., 1, 0, 1] = h[..., 1, 1, 0] = 1.0 / rt
+        h[..., 1, 0, 2] = h[..., 1, 2, 0] = -vel / (rt * temp)
+        h[..., 1, 1, 2] = h[..., 1, 2, 1] = -pres / (rt * temp)
+        h[..., 1, 2, 2] = 2.0 * pres * vel / (rt * temp ** 2)
         # U_2 = p/(g-1) + p u^2/(2 R T)
-        h[2, 0, 1] = h[2, 1, 0] = vel / rt
-        h[2, 0, 2] = h[2, 2, 0] = -0.5 * vel ** 2 / (rt * temp)
-        h[2, 1, 1] = pres / rt
-        h[2, 1, 2] = h[2, 2, 1] = -pres * vel / (rt * temp)
-        h[2, 2, 2] = pres * vel ** 2 / (rt * temp ** 2)
+        h[..., 2, 0, 1] = h[..., 2, 1, 0] = vel / rt
+        h[..., 2, 0, 2] = h[..., 2, 2, 0] = -0.5 * vel ** 2 / (rt * temp)
+        h[..., 2, 1, 1] = pres / rt
+        h[..., 2, 1, 2] = h[..., 2, 2, 1] = -pres * vel / (rt * temp)
+        h[..., 2, 2, 2] = pres * vel ** 2 / (rt * temp ** 2)
         return h
 
 
@@ -205,25 +291,21 @@ def _field_values(space: PeriodicFemSpace, coeffs: np.ndarray, p: int):
 
 
 def project_periodic(space: PeriodicFemSpace, fn: Callable, p: int) -> np.ndarray:
-    """Componentwise L2 projection of fn(x) -> p-vector onto the periodic basis."""
-    n, dx = space.n_elements, space.dx
-    mass = np.zeros((n, n))
-    rhs = np.zeros((n, p))
-    x_quad = space.quad_points()
-    for e in range(n):
-        left, right = e, (e + 1) % n
-        for xi, w, xq in zip(_QP, _QW, x_quad[e]):
-            phi = (1.0 - xi, xi)
-            val = np.asarray(fn(xq), dtype=float).reshape(p)
-            for loc_a, node_a in ((0, left), (1, right)):
-                rhs[node_a] += dx * w * val * phi[loc_a]
-                for loc_b, node_b in ((0, left), (1, right)):
-                    mass[node_a, node_b] += dx * w * phi[loc_a] * phi[loc_b]
-    return np.linalg.solve(mass, rhs).reshape(n * p)
+    """Componentwise L2 projection of fn(x) -> p-vector onto the periodic basis.
+
+    fn is pointwise, so it is called once per quadrature point; the mass
+    matrix and the right-hand side are assembled in one pass each.
+    """
+    point = np.vectorize(lambda x: np.asarray(fn(x), dtype=float).reshape(p),
+                         signature="()->(k)")
+    vals = point(space.quad_points())
+    mass = space.assemble_matrix(np.ones(vals.shape[:2] + (1, 1)), 0.0, 0.0)
+    rhs = space.assemble_rows(vals).reshape(space.n_elements, p)
+    return np.linalg.solve(mass, rhs).reshape(space.n_elements * p)
 
 
 class _PeriodicGalerkinBase:
-    """Shared geometry, quadrature, and audit plumbing for the three systems."""
+    """Shared geometry and audit plumbing for the three systems."""
 
     def __init__(self, space: PeriodicFemSpace, p: int):
         self.space = space
@@ -240,15 +322,6 @@ class _PeriodicGalerkinBase:
 
     def project(self, fn: Callable) -> np.ndarray:
         return project_periodic(self.space, fn, self.p)
-
-    def _integrate_pointwise(self, point_fn) -> np.ndarray:
-        """Quadrature sum of point_fn(e, q, x) -> p-vector over the domain."""
-        total = np.zeros(self.p)
-        dx = self.space.dx
-        for e in range(self.space.n_elements):
-            for q, w in enumerate(_QW):
-                total += dx * w * point_fn(e, q, self.x_quad[e, q])
-        return total
 
     def balance_outflow(self, u_alpha_f, t_alpha_f: float) -> float:
         return 0.0  # periodic domain has no boundary flux
@@ -276,57 +349,27 @@ class ConservedSystem(_PeriodicGalerkinBase):
                          else float(stab_coefficient))
 
     def residual(self, u_dot, u, t):
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        vals, derivs = _field_values(self.space, u, p)
-        dot_vals, _ = _field_values(self.space, u_dot, p)
-        res = np.zeros((n, p))
-        for e in range(n):
-            left, right = e, (e + 1) % n
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                f = self.model.flux(vals[e, q], derivs[e, q], x, t)
-                s = self.model.source(vals[e, q], derivs[e, q], x, t)
-                grad = dot_vals[e, q] - s
-                if self.stab != 0.0:
-                    # dphi * dx cancels; sign folded into the ±w term below
-                    f = f - self.stab * derivs[e, q]
-                res[left] += dx * w * grad * (1.0 - xi) + w * f
-                res[right] += dx * w * grad * xi - w * f
-        return res.reshape(self.m)
+        vals, derivs = _field_values(self.space, u, self.p)
+        dot_vals, _ = _field_values(self.space, u_dot, self.p)
+        x = self.x_quad
+        flux = self.model.flux(vals, derivs, x, t) - self.stab * derivs
+        temporal = dot_vals - self.model.source(vals, derivs, x, t)
+        return self.space.assemble_rows(temporal, flux)
 
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        vals, derivs = _field_values(self.space, u, p)
-        out = np.zeros((self.m, self.m))
-        eye = np.eye(p)
-        for e in range(n):
-            nodes = (e, (e + 1) % n)
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                a_u, a_ux = self.model.flux_jacobian(vals[e, q], derivs[e, q], x, t)
-                s_u, s_ux = self.model.source_jacobian(vals[e, q], derivs[e, q], x, t)
-                phi = (1.0 - xi, xi)
-                dphi = (-1.0 / dx, 1.0 / dx)
-                for la, node_a in enumerate(nodes):
-                    rows = slice(node_a * p, node_a * p + p)
-                    for lb, node_b in enumerate(nodes):
-                        cols = slice(node_b * p, node_b * p + p)
-                        block = c_dot * phi[la] * phi[lb] * eye
-                        dflux = a_u * phi[lb] + a_ux * dphi[lb]
-                        if self.stab != 0.0:
-                            dflux = dflux - self.stab * dphi[lb] * eye
-                        block = block + c_u * (
-                            -dphi[la] * dflux
-                            - phi[la] * (s_u * phi[lb] + s_ux * dphi[lb]))
-                        out[rows, cols] += dx * w * block
-        return out
+        vals, derivs = _field_values(self.space, u, self.p)
+        x, eye = self.x_quad, np.eye(self.p)
+        a_u, a_ux = self.model.flux_jacobian(vals, derivs, x, t)
+        s_u, s_ux = self.model.source_jacobian(vals, derivs, x, t)
+        return self.space.assemble_matrix(
+            c_dot * eye - c_u * s_u, c_u * a_u, c_u * (a_ux - self.stab * eye),
+            t_der=-c_u * s_ux)
 
     def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
         return self.iteration_matrix(c_dot, c_u, u_dot, u, t) @ direction
 
     def total(self, coeffs) -> np.ndarray:
-        vals, _ = _field_values(self.space, coeffs, self.p)
-        return self._integrate_pointwise(lambda e, q, x: vals[e, q])
+        return self.space.integrate(_field_values(self.space, coeffs, self.p)[0])
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
@@ -334,8 +377,8 @@ class ConservedSystem(_PeriodicGalerkinBase):
 
     def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
         vals, derivs = _field_values(self.space, u_alpha_f, self.p)
-        return self._integrate_pointwise(
-            lambda e, q, x: self.model.source(vals[e, q], derivs[e, q], x, t_alpha_f))
+        return self.space.integrate(
+            self.model.source(vals, derivs, self.x_quad, t_alpha_f))
 
 
 def build_conslaw_system(space: PeriodicFemSpace, model, stabilization: str = "none",
@@ -350,11 +393,7 @@ def stabilization_form(system: ConservedSystem, v, w) -> float:
         return 0.0
     _, dv = _field_values(system.space, v, system.p)
     _, dw = _field_values(system.space, w, system.p)
-    dx = system.space.dx
-    total = 0.0
-    for q, weight in enumerate(_QW):
-        total += dx * weight * float(np.sum(system.stab * dv[:, q, :] * dw[:, q, :]))
-    return total
+    return float(np.sum(system.space.integrate(system.stab * dv * dw)))
 
 
 class _NonconservativeBase(_PeriodicGalerkinBase):
@@ -367,50 +406,52 @@ class _NonconservativeBase(_PeriodicGalerkinBase):
         self.model = model
         self.varmap = varmap
 
-    def _flux_blocks(self, v, dv, x, t):
-        """Flux value and its V-derivative at a point, via the chain rule."""
-        a0 = self.varmap.jacobian(v)
-        u = self.varmap.to_conserved(v)
-        du = a0 @ dv
-        f = self.model.flux(u, du, x, t)
-        a_u, a_ux = self.model.flux_jacobian(u, du, x, t)
-        h = self.varmap.hessian(v)
-        # d(du)/dV = (H : dv) + A0 * d/dx, split into value/derivative parts
-        h_dv = np.einsum("jkl,k->jl", h, dv)
-        df_dv_val = a_u @ a0 + a_ux @ h_dv
-        df_dv_der = a_ux @ a0
-        return f, df_dv_val, df_dv_der
+    def _conserved_fields(self, v, dv):
+        """dU/dV, U and U_x at stacked points."""
+        a0 = self.varmap.jacobian(v, self.x_quad)
+        return a0, self.varmap.to_conserved(v, self.x_quad), _matvec(a0, dv)
+
+    def _flux_blocks(self, v, dv, t):
+        """dU/dV, the Hessian of U and the flux's V-derivative blocks.
+
+        The flux depends on V through U(V) and U_x = (dU/dV) V_x, so its
+        derivative splits into a value part (A_U A0 + A_Ux (H : V_x)) and an
+        x-derivative part (A_Ux A0).
+        """
+        a0, u, du = self._conserved_fields(v, dv)
+        a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
+        h = self.varmap.hessian(v, self.x_quad)
+        h_dv = np.einsum("...jkl,...k->...jl", h, dv)
+        return a0, h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
+
+    def _shifted(self, v, v_dot, shift):
+        """Û = U(V) + shift * (dU/dV)(V) V̇ at stacked points."""
+        return (self.varmap.to_conserved(v, self.x_quad)
+                + shift * _matvec(self.varmap.jacobian(v, self.x_quad), v_dot))
+
+    def _check_first(self, *fields):
+        """Admissibility of several V fields, first bad point in the order a
+        pointwise loop over (element, point, field) would meet it."""
+        self.varmap.check(np.stack(fields, axis=2), self.x_quad[:, :, None])
 
     def total(self, coeffs) -> np.ndarray:
         """Integral of the pointwise conserved field U(V^h)."""
         vals, _ = _field_values(self.space, coeffs, self.p)
-        return self._integrate_pointwise(
-            lambda e, q, x: self.varmap.to_conserved(vals[e, q]))
+        return self.space.integrate(self.varmap.to_conserved(vals, self.x_quad))
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
         """Integral of Û = U(V^h) + (alpha_f - 1/2)*dt*(dU/dV)(V^h) V̇^h."""
-        shift = (alpha_f - 0.5) * dt
         vals, _ = _field_values(self.space, state.u, self.p)
         dot_vals, _ = _field_values(self.space, state.u_dot, self.p)
-
-        def point(e, q, x):
-            v = vals[e, q]
-            return self.varmap.to_conserved(v) \
-                + shift * (self.varmap.jacobian(v) @ dot_vals[e, q])
-
-        return self._integrate_pointwise(point)
+        return self.space.integrate(
+            self._shifted(vals, dot_vals, (alpha_f - 0.5) * dt))
 
     def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
         vals, derivs = _field_values(self.space, u_alpha_f, self.p)
-
-        def point(e, q, x):
-            v = vals[e, q]
-            a0 = self.varmap.jacobian(v)
-            return self.model.source(self.varmap.to_conserved(v),
-                                     a0 @ derivs[e, q], x, t_alpha_f)
-
-        return self._integrate_pointwise(point)
+        _, u, du = self._conserved_fields(vals, derivs)
+        return self.space.integrate(
+            self.model.source(u, du, self.x_quad, t_alpha_f))
 
 
 class NonconservativeSystem(_NonconservativeBase):
@@ -424,49 +465,20 @@ class NonconservativeSystem(_NonconservativeBase):
     admits_balance_law = False
 
     def residual(self, v_dot, v, t):
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        vals, derivs = _field_values(self.space, v, p)
-        dot_vals, _ = _field_values(self.space, v_dot, p)
-        res = np.zeros((n, p))
-        for e in range(n):
-            left, right = e, (e + 1) % n
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                vq, dvq = vals[e, q], derivs[e, q]
-                a0 = self.varmap.jacobian(vq)
-                u = self.varmap.to_conserved(vq)
-                f = self.model.flux(u, a0 @ dvq, x, t)
-                s = self.model.source(u, a0 @ dvq, x, t)
-                grad = a0 @ dot_vals[e, q] - s
-                res[left] += dx * w * grad * (1.0 - xi) + w * f
-                res[right] += dx * w * grad * xi - w * f
-        return res.reshape(self.m)
+        vals, derivs = _field_values(self.space, v, self.p)
+        dot_vals, _ = _field_values(self.space, v_dot, self.p)
+        a0, u, du = self._conserved_fields(vals, derivs)
+        flux = self.model.flux(u, du, self.x_quad, t)
+        temporal = _matvec(a0, dot_vals) - self.model.source(u, du, self.x_quad, t)
+        return self.space.assemble_rows(temporal, flux)
 
     def iteration_matrix(self, c_dot, c_u, v_dot, v, t):
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        vals, derivs = _field_values(self.space, v, p)
-        dot_vals, _ = _field_values(self.space, v_dot, p)
-        out = np.zeros((self.m, self.m))
-        for e in range(n):
-            nodes = (e, (e + 1) % n)
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                vq, dvq = vals[e, q], derivs[e, q]
-                a0 = self.varmap.jacobian(vq)
-                h_vdot = np.einsum("jkl,k->jl", self.varmap.hessian(vq),
-                                   dot_vals[e, q])
-                _, df_val, df_der = self._flux_blocks(vq, dvq, x, t)
-                phi = (1.0 - xi, xi)
-                dphi = (-1.0 / dx, 1.0 / dx)
-                for la, node_a in enumerate(nodes):
-                    rows = slice(node_a * p, node_a * p + p)
-                    for lb, node_b in enumerate(nodes):
-                        cols = slice(node_b * p, node_b * p + p)
-                        block = c_dot * phi[la] * phi[lb] * a0 \
-                            + c_u * phi[la] * phi[lb] * h_vdot \
-                            - c_u * dphi[la] * (df_val * phi[lb] + df_der * dphi[lb])
-                        out[rows, cols] += dx * w * block
-        return out
+        vals, derivs = _field_values(self.space, v, self.p)
+        dot_vals, _ = _field_values(self.space, v_dot, self.p)
+        a0, h, df_val, df_der = self._flux_blocks(vals, derivs, t)
+        h_vdot = np.einsum("...jkl,...k->...jl", h, dot_vals)
+        return self.space.assemble_matrix(c_dot * a0 + c_u * h_vdot,
+                                          c_u * df_val, c_u * df_der)
 
     def iteration_matrix_action(self, c_dot, c_u, v_dot, v, t, direction):
         return self.iteration_matrix(c_dot, c_u, v_dot, v, t) @ direction
@@ -482,41 +494,28 @@ class ModifiedNonconservativeSystem(_NonconservativeBase):
 
     admits_balance_law = True
 
+    def _step_fields(self, w_unknown, state_n: StatePair, dt: float,
+                     params: GenAlphaParams):
+        """V_{n+1} and V_{n+af} implied by the Newton unknown V̇_{n+1}."""
+        af, g = params.alpha_f, params.gamma
+        v_np1 = state_n.u + dt * (1.0 - g) * state_n.u_dot + dt * g * w_unknown
+        return v_np1, (1.0 - af) * state_n.u + af * v_np1
+
     def step_residual(self, w_unknown, state_n: StatePair, dt: float,
                       params: GenAlphaParams):
         """Residual of the modified scheme as a function of V̇_{n+1}."""
-        af, g = params.alpha_f, params.gamma
-        shift = (af - 0.5) * dt
-        t_af = state_n.t + af * dt
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        v_np1 = state_n.u + dt * (1.0 - g) * state_n.u_dot + dt * g * w_unknown
-        v_af = (1.0 - af) * state_n.u + af * v_np1
-
-        vn_vals, _ = _field_values(self.space, state_n.u, p)
-        vdn_vals, _ = _field_values(self.space, state_n.u_dot, p)
-        vp_vals, _ = _field_values(self.space, v_np1, p)
-        w_vals, _ = _field_values(self.space, w_unknown, p)
-        vaf_vals, vaf_derivs = _field_values(self.space, v_af, p)
-
-        res = np.zeros((n, p))
-        for e in range(n):
-            left, right = e, (e + 1) % n
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                v_minus, v_plus = vn_vals[e, q], vp_vals[e, q]
-                uhat_minus = self.varmap.to_conserved(v_minus) \
-                    + shift * (self.varmap.jacobian(v_minus) @ vdn_vals[e, q])
-                uhat_plus = self.varmap.to_conserved(v_plus) \
-                    + shift * (self.varmap.jacobian(v_plus) @ w_vals[e, q])
-                vq, dvq = vaf_vals[e, q], vaf_derivs[e, q]
-                a0 = self.varmap.jacobian(vq)
-                u = self.varmap.to_conserved(vq)
-                f = self.model.flux(u, a0 @ dvq, x, t_af)
-                s = self.model.source(u, a0 @ dvq, x, t_af)
-                grad = (uhat_plus - uhat_minus) / dt - s
-                res[left] += dx * w * grad * (1.0 - xi) + w * f
-                res[right] += dx * w * grad * xi - w * f
-        return res.reshape(self.m)
+        shift = (params.alpha_f - 0.5) * dt
+        t_af = state_n.t + params.alpha_f * dt
+        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
+        vn, vdn, vp, w = (_field_values(self.space, c, self.p)[0] for c in
+                          (state_n.u, state_n.u_dot, v_np1, w_unknown))
+        vaf, dvaf = _field_values(self.space, v_af, self.p)
+        self._check_first(vn, vp, vaf)
+        _, u, du = self._conserved_fields(vaf, dvaf)
+        flux = self.model.flux(u, du, self.x_quad, t_af)
+        temporal = ((self._shifted(vp, w, shift) - self._shifted(vn, vdn, shift)) / dt
+                    - self.model.source(u, du, self.x_quad, t_af))
+        return self.space.assemble_rows(temporal, flux)
 
     def step_jacobian(self, w_unknown, state_n: StatePair, dt: float,
                       params: GenAlphaParams):
@@ -524,37 +523,17 @@ class ModifiedNonconservativeSystem(_NonconservativeBase):
         af, g = params.alpha_f, params.gamma
         shift = af - 0.5
         t_af = state_n.t + af * dt
-        n, p, dx = self.space.n_elements, self.p, self.space.dx
-        v_np1 = state_n.u + dt * (1.0 - g) * state_n.u_dot + dt * g * w_unknown
-        v_af = (1.0 - af) * state_n.u + af * v_np1
-
-        vp_vals, _ = _field_values(self.space, v_np1, p)
-        w_vals, _ = _field_values(self.space, w_unknown, p)
-        vaf_vals, vaf_derivs = _field_values(self.space, v_af, p)
-
-        out = np.zeros((self.m, self.m))
+        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
+        vp, _ = _field_values(self.space, v_np1, self.p)
+        w, _ = _field_values(self.space, w_unknown, self.p)
+        vaf, dvaf = _field_values(self.space, v_af, self.p)
+        self._check_first(vp, vaf)
+        h_w = np.einsum("...jkl,...k->...jl", self.varmap.hessian(vp, self.x_quad), w)
+        temporal = ((g + shift) * self.varmap.jacobian(vp, self.x_quad)
+                    + shift * g * dt * h_w)
+        _, _, df_val, df_der = self._flux_blocks(vaf, dvaf, t_af)
         c_u = af * g * dt  # dV_af/dW
-        for e in range(n):
-            nodes = (e, (e + 1) % n)
-            for q, (xi, w) in enumerate(zip(_QP, _QW)):
-                x = self.x_quad[e, q]
-                v_plus = vp_vals[e, q]
-                a0_plus = self.varmap.jacobian(v_plus)
-                h_w = np.einsum("jkl,k->jl", self.varmap.hessian(v_plus),
-                                w_vals[e, q])
-                temporal = (g + shift) * a0_plus + shift * g * dt * h_w
-                _, df_val, df_der = self._flux_blocks(vaf_vals[e, q],
-                                                      vaf_derivs[e, q], x, t_af)
-                phi = (1.0 - xi, xi)
-                dphi = (-1.0 / dx, 1.0 / dx)
-                for la, node_a in enumerate(nodes):
-                    rows = slice(node_a * p, node_a * p + p)
-                    for lb, node_b in enumerate(nodes):
-                        cols = slice(node_b * p, node_b * p + p)
-                        block = phi[la] * phi[lb] * temporal \
-                            - c_u * dphi[la] * (df_val * phi[lb] + df_der * dphi[lb])
-                        out[rows, cols] += dx * w * block
-        return out
+        return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der)
 
 
 def build_nonconservative_system(space: PeriodicFemSpace, model, varmap,
@@ -619,10 +598,6 @@ def total_conserved(space: PeriodicFemSpace, model, coefficients,
     coefficients are conserved-variable DOFs.
     """
     vals, _ = _field_values(space, coefficients, model.p)
-    total = np.zeros(model.p)
-    dx = space.dx
-    for e in range(space.n_elements):
-        for q, w in enumerate(_QW):
-            u = vals[e, q] if varmap is None else varmap.to_conserved(vals[e, q])
-            total += dx * w * u
-    return total
+    if varmap is not None:
+        vals = varmap.to_conserved(vals, space.quad_points())
+    return space.integrate(vals)

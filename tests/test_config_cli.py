@@ -94,6 +94,24 @@ class TestParseConfig:
         assert params.beta == pytest.approx(0.25 * 1.2 ** 2)
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("spatial", "n_elements", "0"),
+        ("integrator", "t_final", "0"),
+    ])
+    def test_zero_is_rejected_not_defaulted(self, section, key, value):
+        text = ("[experiment]\nname = ode-convergence\n"
+                f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=f"line 4: {key} must be"):
+            parse_config(text)
+
+
+# a value the user gives must be rejected, never swapped for the default
+ZERO_VALUE_CONFIGS = [
+    "[experiment]\nname = conslaw-balance\n[spatial]\nn_elements = 0\n",
+    "[experiment]\nname = ode-convergence\n[integrator]\nt_final = 0\n",
+]
+
+
 class TestCli:
     def _write(self, tmp_path, text):
         path = tmp_path / "exp.ini"
@@ -110,6 +128,13 @@ class TestCli:
                                      "zap = 1\n")
         assert main(["validate", str(path)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ZERO_VALUE_CONFIGS,
+                             ids=["n_elements", "t_final"])
+    def test_validate_rejects_zero_values(self, tmp_path, capsys, text):
+        path = self._write(tmp_path, text)
+        assert main(["validate", str(path)]) == 1
+        assert "line 4" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1

@@ -6,7 +6,7 @@ from genalpha import (AdmissibilityError, ConfigurationError, NewtonSettings,
                       StatePair, consistent_initial_rate, params_from_rho_inf,
                       step)
 from genalpha.audit import BalanceLedger
-from genalpha.conslaw import (Burgers1D, Euler1D, PeriodicFemSpace,
+from genalpha.conslaw import (_QP, _QW, Burgers1D, Euler1D, PeriodicFemSpace,
                               _field_values, build_conslaw_system,
                               build_nonconservative_system,
                               pressure_primitive_map, project_periodic,
@@ -384,3 +384,356 @@ class TestDriftComparison:
 
         std = self._run("standard", contact, 20, 1e-3)
         assert np.max(np.abs(std.drift())) <= 1e-12
+
+
+class LoopOracle:
+    """The per-quadrature-point loops that the batched kernels replaced.
+
+    Test-only reference: every model and variable-map call sees one point,
+    and every contribution is added to its node as the loop meets it.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self.space, self.p = system.space, system.p
+        self.model = system.model
+        self.varmap = getattr(system, "varmap", None)
+
+    def _fields(self, coeffs):
+        return _field_values(self.space, coeffs, self.p)
+
+    def _points(self):
+        n = self.space.n_elements
+        for e in range(n):
+            for q, (xi, w) in enumerate(zip(_QP, _QW)):
+                yield e, (e, (e + 1) % n), q, xi, w, self.system.x_quad[e, q]
+
+    def _integrate(self, point_fn):
+        total = np.zeros(self.p)
+        for e, _, q, _, w, x in self._points():
+            total += self.space.dx * w * point_fn(e, q, x)
+        return total
+
+    def _add_rows(self, res, nodes, xi, w, grad, f):
+        dx = self.space.dx
+        res[nodes[0]] += dx * w * grad * (1.0 - xi) + w * f
+        res[nodes[1]] += dx * w * grad * xi - w * f
+
+    def _add_blocks(self, out, nodes, xi, w, block_fn):
+        p, dx = self.p, self.space.dx
+        phi, dphi = (1.0 - xi, xi), (-1.0 / dx, 1.0 / dx)
+        for la, node_a in enumerate(nodes):
+            for lb, node_b in enumerate(nodes):
+                out[node_a * p:node_a * p + p, node_b * p:node_b * p + p] += \
+                    dx * w * block_fn(phi[la], phi[lb], dphi[la], dphi[lb])
+
+    # conservation variables
+
+    def conserved_residual(self, u_dot, u, t):
+        vals, derivs = self._fields(u)
+        dot_vals, _ = self._fields(u_dot)
+        res = np.zeros((self.space.n_elements, self.p))
+        for e, nodes, q, xi, w, x in self._points():
+            f = self.model.flux(vals[e, q], derivs[e, q], x, t)
+            s = self.model.source(vals[e, q], derivs[e, q], x, t)
+            if self.system.stab != 0.0:
+                f = f - self.system.stab * derivs[e, q]
+            self._add_rows(res, nodes, xi, w, dot_vals[e, q] - s, f)
+        return res.reshape(-1)
+
+    def conserved_matrix(self, c_dot, c_u, u_dot, u, t):
+        vals, derivs = self._fields(u)
+        out = np.zeros((self.system.m, self.system.m))
+        eye, stab = np.eye(self.p), self.system.stab
+        for e, nodes, q, xi, w, x in self._points():
+            a_u, a_ux = self.model.flux_jacobian(vals[e, q], derivs[e, q], x, t)
+            s_u, s_ux = self.model.source_jacobian(vals[e, q], derivs[e, q], x, t)
+            self._add_blocks(out, nodes, xi, w, lambda pa, pb, da, db: (
+                c_dot * pa * pb * eye
+                + c_u * (-da * (a_u * pb + a_ux * db - stab * db * eye)
+                         - pa * (s_u * pb + s_ux * db))))
+        return out
+
+    def conserved_total(self, coeffs):
+        vals, _ = self._fields(coeffs)
+        return self._integrate(lambda e, q, x: vals[e, q])
+
+    def conserved_shifted_total(self, state, dt, alpha_f):
+        return self.conserved_total(state.u + (alpha_f - 0.5) * dt * state.u_dot)
+
+    def conserved_source(self, u_af, t_af):
+        vals, derivs = self._fields(u_af)
+        return self._integrate(
+            lambda e, q, x: self.model.source(vals[e, q], derivs[e, q], x, t_af))
+
+    # nonconservation variables
+
+    def _flux_blocks(self, v, dv, x, t):
+        a0 = self.varmap.jacobian(v, x)
+        u = self.varmap.to_conserved(v, x)
+        du = a0 @ dv
+        f = self.model.flux(u, du, x, t)
+        a_u, a_ux = self.model.flux_jacobian(u, du, x, t)
+        h_dv = np.einsum("jkl,k->jl", self.varmap.hessian(v, x), dv)
+        return f, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
+
+    def _shifted(self, v, v_dot, shift, x):
+        return (self.varmap.to_conserved(v, x)
+                + shift * (self.varmap.jacobian(v, x) @ v_dot))
+
+    def standard_residual(self, v_dot, v, t):
+        vals, derivs = self._fields(v)
+        dot_vals, _ = self._fields(v_dot)
+        res = np.zeros((self.space.n_elements, self.p))
+        for e, nodes, q, xi, w, x in self._points():
+            a0 = self.varmap.jacobian(vals[e, q], x)
+            u = self.varmap.to_conserved(vals[e, q], x)
+            du = a0 @ derivs[e, q]
+            f = self.model.flux(u, du, x, t)
+            s = self.model.source(u, du, x, t)
+            self._add_rows(res, nodes, xi, w, a0 @ dot_vals[e, q] - s, f)
+        return res.reshape(-1)
+
+    def standard_matrix(self, c_dot, c_u, v_dot, v, t):
+        vals, derivs = self._fields(v)
+        dot_vals, _ = self._fields(v_dot)
+        out = np.zeros((self.system.m, self.system.m))
+        for e, nodes, q, xi, w, x in self._points():
+            a0 = self.varmap.jacobian(vals[e, q], x)
+            h_vdot = np.einsum("jkl,k->jl", self.varmap.hessian(vals[e, q], x),
+                               dot_vals[e, q])
+            _, df_val, df_der = self._flux_blocks(vals[e, q], derivs[e, q], x, t)
+            self._add_blocks(out, nodes, xi, w, lambda pa, pb, da, db: (
+                c_dot * pa * pb * a0 + c_u * pa * pb * h_vdot
+                - c_u * da * (df_val * pb + df_der * db)))
+        return out
+
+    def _step_fields(self, w_unknown, state_n, dt, params):
+        af, g = params.alpha_f, params.gamma
+        v_np1 = state_n.u + dt * (1.0 - g) * state_n.u_dot + dt * g * w_unknown
+        return v_np1, (1.0 - af) * state_n.u + af * v_np1
+
+    def step_residual(self, w_unknown, state_n, dt, params):
+        shift = (params.alpha_f - 0.5) * dt
+        t_af = state_n.t + params.alpha_f * dt
+        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
+        vn, _ = self._fields(state_n.u)
+        vdn, _ = self._fields(state_n.u_dot)
+        vp, _ = self._fields(v_np1)
+        wv, _ = self._fields(w_unknown)
+        vaf, dvaf = self._fields(v_af)
+        res = np.zeros((self.space.n_elements, self.p))
+        for e, nodes, q, xi, w, x in self._points():
+            uhat_minus = self._shifted(vn[e, q], vdn[e, q], shift, x)
+            uhat_plus = self._shifted(vp[e, q], wv[e, q], shift, x)
+            a0 = self.varmap.jacobian(vaf[e, q], x)
+            u = self.varmap.to_conserved(vaf[e, q], x)
+            du = a0 @ dvaf[e, q]
+            f = self.model.flux(u, du, x, t_af)
+            s = self.model.source(u, du, x, t_af)
+            self._add_rows(res, nodes, xi, w, (uhat_plus - uhat_minus) / dt - s, f)
+        return res.reshape(-1)
+
+    def step_jacobian(self, w_unknown, state_n, dt, params):
+        af, g = params.alpha_f, params.gamma
+        shift, t_af, c_u = af - 0.5, state_n.t + af * dt, af * g * dt
+        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
+        vp, _ = self._fields(v_np1)
+        wv, _ = self._fields(w_unknown)
+        vaf, dvaf = self._fields(v_af)
+        out = np.zeros((self.system.m, self.system.m))
+        for e, nodes, q, xi, w, x in self._points():
+            h_w = np.einsum("jkl,k->jl", self.varmap.hessian(vp[e, q], x), wv[e, q])
+            temporal = ((g + shift) * self.varmap.jacobian(vp[e, q], x)
+                        + shift * g * dt * h_w)
+            _, df_val, df_der = self._flux_blocks(vaf[e, q], dvaf[e, q], x, t_af)
+            self._add_blocks(out, nodes, xi, w, lambda pa, pb, da, db: (
+                pa * pb * temporal - c_u * da * (df_val * pb + df_der * db)))
+        return out
+
+    def primitive_total(self, coeffs):
+        vals, _ = self._fields(coeffs)
+        return self._integrate(lambda e, q, x: self.varmap.to_conserved(vals[e, q], x))
+
+    def primitive_shifted_total(self, state, dt, alpha_f):
+        vals, _ = self._fields(state.u)
+        dot_vals, _ = self._fields(state.u_dot)
+        shift = (alpha_f - 0.5) * dt
+        return self._integrate(
+            lambda e, q, x: self._shifted(vals[e, q], dot_vals[e, q], shift, x))
+
+    def primitive_source(self, v_af, t_af):
+        vals, derivs = self._fields(v_af)
+
+        def point(e, q, x):
+            a0 = self.varmap.jacobian(vals[e, q], x)
+            return self.model.source(self.varmap.to_conserved(vals[e, q], x),
+                                     a0 @ derivs[e, q], x, t_af)
+
+        return self._integrate(point)
+
+
+def _burgers_source(x, t):
+    return np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.25
+
+
+class GradientSourceBurgers(Burgers1D):
+    """Burgers with a source 0.3 u_x, so the source Jacobian has an x-derivative part."""
+
+    def source(self, u, du_dx, x, t):
+        return super().source(u, du_dx, x, t) + 0.3 * du_dx
+
+    def source_jacobian(self, u, du_dx, x, t):
+        s_u, s_ux = super().source_jacobian(u, du_dx, x, t)
+        return s_u, s_ux + 0.3
+
+
+ORACLE_CASES = {
+    "burgers-viscous-source": (
+        lambda space: build_conslaw_system(
+            space, Burgers1D(kappa_visc=0.05, s=_burgers_source)), "conserved"),
+    "burgers-gradient-source": (
+        lambda space: build_conslaw_system(space, GradientSourceBurgers(0.05)),
+        "conserved"),
+    "euler": (lambda space: build_conslaw_system(space, Euler1D(GAS)),
+              "conserved"),
+    "euler-supg": (lambda space: build_conslaw_system(space, Euler1D(GAS),
+                                                      "supg-like"), "conserved"),
+    "primitive-standard": (lambda space: build_nonconservative_system(
+        space, Euler1D(GAS), pressure_primitive_map(GAS, 1.0), "standard"),
+        "primitive"),
+    "primitive-modified": (lambda space: build_nonconservative_system(
+        space, Euler1D(GAS), pressure_primitive_map(GAS, 1.0), "modified"),
+        "primitive"),
+}
+
+
+def random_admissible(system, kind, rng):
+    """Random nodal state with density, pressure (and T) in [0.5, 1.5]."""
+    n = system.space.n_elements
+    if system.p == 1:
+        return rng.uniform(-1.0, 1.0, n)
+    pres, vel = rng.uniform(0.5, 1.5, n), rng.uniform(-0.5, 0.5, n)
+    other = rng.uniform(0.5, 1.5, n)  # density or temperature
+    if kind == "primitive":
+        return np.column_stack([pres, vel, other]).reshape(-1)
+    return np.column_stack([other, other * vel, pres / (GAS - 1.0)
+                            + 0.5 * other * vel ** 2]).reshape(-1)
+
+
+def assert_close(batched, oracle):
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    assert np.max(np.abs(np.asarray(batched) - oracle)) <= 1e-13 * scale
+
+
+class TestBatchedKernelsMatchLoopOracle:
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_kernels(self, case, n):
+        build, kind = ORACLE_CASES[case]
+        rng = np.random.default_rng(1000 + n)
+        system = build(PeriodicFemSpace(n))
+        oracle = LoopOracle(system)
+        u = random_admissible(system, kind, rng)
+        u_dot = 0.1 * rng.normal(size=u.size)
+        t, dt = 0.3, 1e-2
+        params = params_from_rho_inf(0.5)
+        state = StatePair(u, u_dot, t)
+        total, shifted, source = (
+            (oracle.conserved_total, oracle.conserved_shifted_total,
+             oracle.conserved_source) if kind == "conserved" else
+            (oracle.primitive_total, oracle.primitive_shifted_total,
+             oracle.primitive_source))
+        assert_close(system.total(u), total(u))
+        assert_close(system.shifted_balance_total(state, dt, params.alpha_f),
+                     shifted(state, dt, params.alpha_f))
+        assert_close(system.balance_source(u, t), source(u, t))
+        if case == "primitive-modified":
+            w = 0.1 * rng.normal(size=u.size)
+            assert_close(system.step_residual(w, state, dt, params),
+                         oracle.step_residual(w, state, dt, params))
+            assert_close(system.step_jacobian(w, state, dt, params),
+                         oracle.step_jacobian(w, state, dt, params))
+            return
+        residual, matrix = (
+            (oracle.conserved_residual, oracle.conserved_matrix)
+            if kind == "conserved" else
+            (oracle.standard_residual, oracle.standard_matrix))
+        assert_close(system.residual(u_dot, u, t), residual(u_dot, u, t))
+        assert_close(system.iteration_matrix(0.8, 0.15, u_dot, u, t),
+                     matrix(0.8, 0.15, u_dot, u, t))
+
+    def test_burgers_source_enters_residual_and_balance(self):
+        # guards the oracle comparison above against a source that is ignored
+        space = PeriodicFemSpace(16)
+        plain = build_conslaw_system(space, Burgers1D(kappa_visc=0.05))
+        forced = build_conslaw_system(
+            space, Burgers1D(kappa_visc=0.05, s=_burgers_source))
+        u = np.zeros(16)
+        assert forced.balance_source(u, 0.0)[0] == pytest.approx(0.25, abs=1e-14)
+        assert np.max(np.abs(plain.residual(u, u, 0.0)
+                             - forced.residual(u, u, 0.0))) > 1e-3
+
+
+def _one_bad_element(kind, n, k):
+    """Nodal state whose only inadmissible quadrature point is the first
+    Gauss point of element k: node k is bad, node k - 1 outweighs it."""
+    good = np.array([1.0, 0.0, 2.5] if kind == "conserved" else [1.0, 0.0, 1.0])
+    bad_index = 0 if kind == "conserved" else 2  # density or temperature
+    nodes = np.tile(good, (n, 1))
+    nodes[k, bad_index] = -0.5
+    nodes[k - 1, bad_index] = 5.0
+    return nodes.reshape(-1)
+
+
+class TestBatchedAdmissibility:
+    N, K = 8, 3
+
+    def _expect_same_error(self, batched, oracle, system):
+        with pytest.raises(AdmissibilityError) as got:
+            batched()
+        with pytest.raises(AdmissibilityError) as want:
+            oracle()
+        assert str(got.value) == str(want.value)
+        assert f"x={system.x_quad[self.K, 0]}" in str(got.value)
+
+    def test_state_has_one_bad_element(self):
+        space = PeriodicFemSpace(self.N)
+        for kind, col in (("conserved", 0), ("primitive", 2)):
+            vals, _ = _field_values(space, _one_bad_element(kind, self.N, self.K), 3)
+            bad = np.argwhere(vals[:, :, col] <= 0.0)
+            assert bad.tolist() == [[self.K, 0]]
+
+    def test_conserved_residual(self):
+        system = build_conslaw_system(PeriodicFemSpace(self.N), Euler1D(GAS))
+        u = _one_bad_element("conserved", self.N, self.K)
+        zero = np.zeros_like(u)
+        self._expect_same_error(
+            lambda: system.residual(zero, u, 0.0),
+            lambda: LoopOracle(system).conserved_residual(zero, u, 0.0), system)
+
+    def test_standard_iteration_matrix(self):
+        system = build_nonconservative_system(
+            PeriodicFemSpace(self.N), Euler1D(GAS), pressure_primitive_map(GAS, 1.0),
+            "standard")
+        v = _one_bad_element("primitive", self.N, self.K)
+        zero = np.zeros_like(v)
+        self._expect_same_error(
+            lambda: system.iteration_matrix(1.0, 0.1, zero, v, 0.0),
+            lambda: LoopOracle(system).standard_matrix(1.0, 0.1, zero, v, 0.0),
+            system)
+
+    def test_modified_step_residual(self):
+        system = build_nonconservative_system(
+            PeriodicFemSpace(self.N), Euler1D(GAS), pressure_primitive_map(GAS, 1.0),
+            "modified")
+        v = _one_bad_element("primitive", self.N, self.K)
+        # V_n, V_{n+1} and V_{n+af} differ, so the message shows which
+        # of them the first bad point names
+        state = StatePair(v, np.full_like(v, 0.5), 0.0)
+        params = params_from_rho_inf(0.5)
+        w = np.full_like(v, 2.0)
+        self._expect_same_error(
+            lambda: system.step_residual(w, state, 1e-3, params),
+            lambda: LoopOracle(system).step_residual(w, state, 1e-3, params),
+            system)
