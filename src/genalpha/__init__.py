@@ -1,6 +1,6 @@
 """Generalized-alpha time integration with discrete balance-law auditing."""
 
-from .audit import BalanceLedger, LedgerReport, ledger_drift, record_step, report
+from .audit import BalanceLedger, LedgerReport
 from .errors import AdmissibilityError, ConfigurationError, NewtonConvergenceError
 from .integrator import (GenAlphaParams, NewtonSettings, SecondOrderState,
                          StatePair, consistent_initial_acceleration,
@@ -28,13 +28,10 @@ __all__ = [
     "consistent_initial_acceleration",
     "consistent_initial_rate",
     "integrate",
-    "ledger_drift",
     "make_params",
     "midpoint_identity_residual",
     "observed_order",
     "params_from_rho_inf",
-    "record_step",
-    "report",
     "second_order_identity_residual",
     "shifted_state",
     "spectral_radius",

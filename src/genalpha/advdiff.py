@@ -99,7 +99,8 @@ class AdvDiffSystem:
 
     R(u̇, u, t) = M_dot u̇ + K u - F(t) where M_dot and K include the SUPG
     perturbation when enabled; F(t) gathers body-force, boundary-flux, and
-    SUPG load terms.  Immutable after construction; evaluation is pure.
+    SUPG load terms; dt enters only the SUPG parameter.  Immutable after
+    construction; evaluation is pure.
     """
 
     admits_balance_law = True
@@ -175,9 +176,6 @@ class AdvDiffSystem:
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
         return c_dot * self.mass_dot + c_u * self.stiffness
 
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return c_dot * (self.mass_dot @ direction) + c_u * (self.stiffness @ direction)
-
     # -- balance-law audit surface -------------------------------------------
 
     n_balance_components = 1
@@ -200,12 +198,6 @@ class AdvDiffSystem:
         return outflow_flux(self, u_alpha_f, t_alpha_f)
 
 
-def build_advdiff_system(mesh: Mesh1D, config: AdvDiffConfig,
-                         dt: float = np.inf) -> AdvDiffSystem:
-    """Assemble the semi-discrete system; dt enters only the SUPG parameter."""
-    return AdvDiffSystem(mesh, config, dt)
-
-
 def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
     """L2 projection of u0 onto the linear nodal basis (quadrature-consistent)."""
     m = mesh.n_elements + 1
@@ -221,11 +213,6 @@ def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
             phi = np.array([1.0 - xi, xi])
             rhs[sl] += mesh.dx * w * u0_q[e, q] * phi
     return np.linalg.solve(mass, rhs)
-
-
-def total_quantity(system: AdvDiffSystem, u) -> float:
-    """Integral of u^h over the domain."""
-    return system.total(u)
 
 
 def outflow_flux(system: AdvDiffSystem, u, t: float = 0.0) -> float:

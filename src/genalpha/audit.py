@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import GenAlphaParams, StatePair, shifted_state
-
-_REL_DT_TOL = 1e-14
+from .integrator import _REL_DT_TOL, GenAlphaParams, StatePair, shifted_state
 
 
 @dataclass(frozen=True)
@@ -136,21 +134,6 @@ class BalanceLedger:
             max_mismatch=self.max_mismatch,
             table=tuple(rows),
         )
-
-
-def record_step(ledger: BalanceLedger, system, state_n: StatePair,
-                state_np1: StatePair, params: GenAlphaParams,
-                dt: float) -> BalanceLedger:
-    """Functional spelling of BalanceLedger.record_step."""
-    return ledger.record_step(system, state_n, state_np1, params, dt)
-
-
-def ledger_drift(ledger: BalanceLedger) -> np.ndarray:
-    return ledger.drift()
-
-
-def report(ledger: BalanceLedger) -> LedgerReport:
-    return ledger.report()
 
 
 def report_to_csv(rep: LedgerReport) -> str:

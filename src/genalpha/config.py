@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -139,6 +140,10 @@ def parse_config(text: str) -> ExperimentConfig:
             f"{name!r}; choose from {', '.join(EXPERIMENTS)}")
 
     rho_inf = got(("integrator", "rho_inf"))
+    if rho_inf is not None and not 0.0 <= rho_inf <= 1.0:
+        raise ConfigurationError(
+            f"line {line_of(('integrator', 'rho_inf'))}: rho_inf must be "
+            f"finite and lie in [0, 1]")
     triple = {k: got(("integrator", k)) for k in ("alpha_m", "alpha_f", "gamma")}
     triple_given = [k for k, v in triple.items() if v is not None]
     if rho_inf is not None and triple_given:
@@ -159,6 +164,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(offender)}: dt, dt_list and dt_schedule are "
             f"mutually exclusive")
+    for key in dt_forms:
+        entries = got(("integrator", key))
+        if key == "dt":
+            entries = (entries,)
+        elif key == "dt_schedule":
+            entries = entries[0]  # (steps, repeats)
+        if not all(math.isfinite(dt) and dt > 0.0 for dt in entries):
+            raise ConfigurationError(
+                f"line {line_of(('integrator', key))}: {key} must be finite "
+                f"and > 0")
 
     model = got(("experiment", "model")) or "burgers"
     if model not in ("burgers", "euler"):
@@ -205,6 +220,20 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(('integrator', 't_final'))}: t_final must be > 0")
 
+    kappa = _or(got(("spatial", "kappa")), 0.01)
+    if name == "advdiff-balance" and not kappa > 0.0:
+        raise ConfigurationError(
+            f"line {line_of(('spatial', 'kappa'))}: kappa must be > 0")
+
+    # the Euler runs' initial density and pressure are 1 + amplitude*sin(...)
+    amplitude = _or(got(("spatial", "amplitude")), 0.1)
+    euler = (name == "nonconservative-compare"
+             or (name == "conslaw-balance" and model == "euler"))
+    if euler and not abs(amplitude) < 1.0:
+        raise ConfigurationError(
+            f"line {line_of(('spatial', 'amplitude'))}: |amplitude| must be "
+            f"< 1 for Euler runs")
+
     return ExperimentConfig(
         experiment=name,
         model=model,
@@ -220,9 +249,9 @@ def parse_config(text: str) -> ExperimentConfig:
         t_final=t_final,
         n_elements=n_elements,
         a=_or(got(("spatial", "a")), 1.0),
-        kappa=_or(got(("spatial", "kappa")), 0.01),
+        kappa=kappa,
         gamma_gas=_or(got(("spatial", "gamma_gas")), 1.4),
-        amplitude=_or(got(("spatial", "amplitude")), 0.1),
+        amplitude=amplitude,
         stabilization=stabilization,
         forcing=forcing,
         out_dir=got(("output", "directory")) or "out",

@@ -9,7 +9,8 @@ Three discretizations of U_t + F(U, U_x)_x = S on the periodic unit interval:
 * the modified scheme (ModifiedNonconservativeSystem) whose temporal term is
   the difference quotient of shifted conserved states
   Û± = U(V) + (af - 1/2)*dt*(dU/dV)(V)*V̇, restoring the discrete balance
-  law.  It advances through `step_modified`, not the generic stepper.
+  law.  It supplies the step residual and Jacobian in V̇_{n+1} that the
+  generic `step` solves.
 
 Linear nodal basis, 3-point Gauss quadrature per element everywhere, so the
 balance totals are identities of the same discrete integrals the residual
@@ -25,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConfigurationError
-from .integrator import GenAlphaParams, NewtonSettings, StatePair, _newton
+from .errors import AdmissibilityError
+from .integrator import GenAlphaParams, StatePair
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
@@ -273,11 +274,6 @@ class PressurePrimitiveMap:
         return h
 
 
-def pressure_primitive_map(gamma_gas: float, r_gas: float) -> PressurePrimitiveMap:
-    """Pressure-primitive variable map V = (p, u, T) for the ideal gas."""
-    return PressurePrimitiveMap(gamma_gas, r_gas)
-
-
 def _field_values(space: PeriodicFemSpace, coeffs: np.ndarray, p: int):
     """FE values and x-derivatives at quadrature points: (n_el, nq, p) each."""
     c = np.asarray(coeffs, dtype=float).reshape(space.n_elements, p)
@@ -365,9 +361,6 @@ class ConservedSystem(_PeriodicGalerkinBase):
             c_dot * eye - c_u * s_u, c_u * a_u, c_u * (a_ux - self.stab * eye),
             t_der=-c_u * s_ux)
 
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return self.iteration_matrix(c_dot, c_u, u_dot, u, t) @ direction
-
     def total(self, coeffs) -> np.ndarray:
         return self.space.integrate(_field_values(self.space, coeffs, self.p)[0])
 
@@ -379,12 +372,6 @@ class ConservedSystem(_PeriodicGalerkinBase):
         vals, derivs = _field_values(self.space, u_alpha_f, self.p)
         return self.space.integrate(
             self.model.source(vals, derivs, self.x_quad, t_alpha_f))
-
-
-def build_conslaw_system(space: PeriodicFemSpace, model, stabilization: str = "none",
-                         stab_coefficient: float | None = None) -> ConservedSystem:
-    """Conservation-variable Galerkin semi-discretization as a residual system."""
-    return ConservedSystem(space, model, stabilization, stab_coefficient)
 
 
 def stabilization_form(system: ConservedSystem, v, w) -> float:
@@ -480,19 +467,19 @@ class NonconservativeSystem(_NonconservativeBase):
         return self.space.assemble_matrix(c_dot * a0 + c_u * h_vdot,
                                           c_u * df_val, c_u * df_der)
 
-    def iteration_matrix_action(self, c_dot, c_u, v_dot, v, t, direction):
-        return self.iteration_matrix(c_dot, c_u, v_dot, v, t) @ direction
-
 
 class ModifiedNonconservativeSystem(_NonconservativeBase):
     """V-variable discretization with the conservative shifted-state temporal term.
 
     The temporal term is (Û+_{n+af+1/2} - Û-_{n+af-1/2})/dt tested against
-    W, which requires the whole step context; use `step_modified` rather
-    than the generic stepper.
+    W, which requires the whole step context, so the system supplies the
+    step residual and Jacobian that `step` solves.  The shifted-state
+    quotient represents the rate only for second-order parameters, and the
+    shifted states chain only on a uniform time mesh.
     """
 
     admits_balance_law = True
+    requires_shifted_midpoint = True
 
     def _step_fields(self, w_unknown, state_n: StatePair, dt: float,
                      params: GenAlphaParams):
@@ -534,70 +521,3 @@ class ModifiedNonconservativeSystem(_NonconservativeBase):
         _, _, df_val, df_der = self._flux_blocks(vaf, dvaf, t_af)
         c_u = af * g * dt  # dV_af/dW
         return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der)
-
-
-def build_nonconservative_system(space: PeriodicFemSpace, model, varmap,
-                                 mode: str = "standard"):
-    """V-variable semi-discretization; mode selects the temporal treatment."""
-    if mode == "standard":
-        return NonconservativeSystem(space, model, varmap)
-    if mode == "modified":
-        return ModifiedNonconservativeSystem(space, model, varmap)
-    raise ConfigurationError(f"unknown nonconservative mode {mode!r}")
-
-
-def step_modified(system: ModifiedNonconservativeSystem, state_n: StatePair,
-                  dt: float, params: GenAlphaParams,
-                  newton: NewtonSettings = NewtonSettings()) -> StatePair:
-    """One step of the modified scheme; Newton unknown is V̇_{n+1}.
-
-    Refuses parameters that are not second-order accurate: the shifted-state
-    temporal term represents the rate only under gamma = 1/2 + am - af.
-    """
-    if not isinstance(system, ModifiedNonconservativeSystem):
-        raise ConfigurationError("step_modified requires a modified-mode system")
-    if not params.is_second_order():
-        raise ConfigurationError(
-            "the modified scheme requires second-order parameters "
-            f"(gamma = 1/2 + alpha_m - alpha_f); got {params}")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    g = params.gamma
-    v_n, vd_n = state_n.u, state_n.u_dot
-
-    w0 = ((g - 1.0) / g) * vd_n
-    w_star, _ = _newton(
-        lambda w: system.step_residual(w, state_n, dt, params),
-        lambda w: system.step_jacobian(w, state_n, dt, params),
-        w0, newton)
-    v_np1 = v_n + dt * ((1.0 - g) * vd_n + g * w_star)
-    return StatePair(v_np1, w_star, state_n.t + dt)
-
-
-def run_modified(system: ModifiedNonconservativeSystem, state0: StatePair,
-                 dts, params: GenAlphaParams,
-                 newton: NewtonSettings = NewtonSettings()) -> list[StatePair]:
-    """Advance the modified scheme over a dt schedule; refuses nonuniform dt."""
-    dts = [float(dt) for dt in dts]
-    if dts and any(abs(dt - dts[0]) > 1e-14 * abs(dts[0]) for dt in dts):
-        raise ConfigurationError(
-            "the modified scheme is only conservative on a uniform time mesh; "
-            "got a nonuniform dt schedule")
-    states = [state0]
-    for dt in dts:
-        states.append(step_modified(system, states[-1], dt, params, newton))
-    return states
-
-
-def total_conserved(space: PeriodicFemSpace, model, coefficients,
-                    varmap=None) -> np.ndarray:
-    """Componentwise integral of the conserved field over the domain.
-
-    With `varmap` given, `coefficients` are nonconservation variables and
-    U(V^h) is integrated pointwise at the quadrature points; otherwise the
-    coefficients are conserved-variable DOFs.
-    """
-    vals, _ = _field_values(space, coefficients, model.p)
-    if varmap is not None:
-        vals = varmap.to_conserved(vals, space.quad_points())
-    return space.integrate(vals)

@@ -15,8 +15,8 @@ from .audit import BalanceLedger, LedgerReport, report_to_csv
 from .config import ExperimentConfig
 from .integrator import (NewtonSettings, SecondOrderState, StatePair,
                          consistent_initial_acceleration,
-                         consistent_initial_rate, second_order_identity_residual,
-                         step, step_second_order)
+                         consistent_initial_rate, integrate,
+                         second_order_identity_residual, step_second_order)
 from .linear_analysis import amplification_matrix, observed_order, spectral_radius
 from .odes import HarmonicOscillator, ScalarLinear
 
@@ -113,15 +113,12 @@ def run_advdiff_balance(config: ExperimentConfig):
     forcing = (lambda x, t: np.ones_like(x)) if config.forcing == "unit" else None
     pde = advdiff.AdvDiffConfig(a=config.a, kappa=config.kappa, f=forcing,
                                 u0=_bump, stabilization=config.stabilization)
-    system = advdiff.build_advdiff_system(mesh, pde, dts[0])
+    system = advdiff.AdvDiffSystem(mesh, pde, dts[0])
     u0 = advdiff.project_initial(mesh, _bump)
     state = StatePair(u0, consistent_initial_rate(system, u0, 0.0,
                                                   _LEDGER_NEWTON), 0.0)
     ledger = BalanceLedger()
-    for dt in dts:
-        nxt = step(system, state, dt, params, _LEDGER_NEWTON)
-        ledger.record_step(system, state, nxt, params, dt)
-        state = nxt
+    integrate(system, state, dts, params, _LEDGER_NEWTON, ledger)
     rep, lines = _ledger_lines(ledger)
     ok = _check_balance(rep, lines)
     if config.forcing == "unit" and ledger.uniform_dt:
@@ -161,15 +158,12 @@ def run_conslaw_balance(config: ExperimentConfig):
     space = conslaw.PeriodicFemSpace(config.n_elements)
     model, ic = _conserved_initial(config)
     stabilization = "supg-like" if config.stabilization == "supg" else "none"
-    system = conslaw.build_conslaw_system(space, model, stabilization)
+    system = conslaw.ConservedSystem(space, model, stabilization)
     u0 = system.project(ic)
     state = StatePair(u0, consistent_initial_rate(system, u0, 0.0,
                                                   _LEDGER_NEWTON), 0.0)
     ledger = BalanceLedger()
-    for dt in dts:
-        nxt = step(system, state, dt, params, _LEDGER_NEWTON)
-        ledger.record_step(system, state, nxt, params, dt)
-        state = nxt
+    integrate(system, state, dts, params, _LEDGER_NEWTON, ledger)
     rep, lines = _ledger_lines(ledger)
     lines.insert(0, f"model = {config.model}, {config.n_elements} elements")
     ok = _check_balance(rep, lines)
@@ -181,37 +175,25 @@ def run_nonconservative_compare(config: ExperimentConfig):
     dts = config.step_sizes()
     space = conslaw.PeriodicFemSpace(config.n_elements)
     model = conslaw.Euler1D(config.gamma_gas)
-    varmap = conslaw.pressure_primitive_map(config.gamma_gas, 1.0)
+    varmap = conslaw.PressurePrimitiveMap(config.gamma_gas, 1.0)
 
     def ic(x):
         rho, vel, pres = euler_primitive_fields(x, config.amplitude)
         return np.array([pres, vel, pres / rho])
 
-    standard = conslaw.build_nonconservative_system(space, model, varmap,
-                                                    "standard")
-    modified = conslaw.build_nonconservative_system(space, model, varmap,
-                                                    "modified")
+    standard = conslaw.NonconservativeSystem(space, model, varmap)
+    modified = conslaw.ModifiedNonconservativeSystem(space, model, varmap)
     v0 = standard.project(ic)
     state0 = StatePair(v0, consistent_initial_rate(standard, v0, 0.0,
                                                    _LEDGER_NEWTON), 0.0)
 
-    drifts = {}
-    from .integrator import integrate
-
-    # run_modified refuses nonuniform schedules, as the scheme requires
-    trajectories = {
-        "standard": integrate(standard, state0, dts, params, _LEDGER_NEWTON),
-        "modified": conslaw.run_modified(modified, state0, dts, params,
-                                         _LEDGER_NEWTON),
-    }
-    for mode, system in (("standard", standard), ("modified", modified)):
+    # the modified system refuses nonuniform schedules, as the scheme requires
+    drifts = []
+    for system in (standard, modified):
         ledger = BalanceLedger()
-        states = trajectories[mode]
-        for s0, s1, dt in zip(states, states[1:], dts):
-            ledger.record_step(system, s0, s1, params, dt)
-        drifts[mode] = ledger.drift()
-
-    std, mod = drifts["standard"], drifts["modified"]
+        integrate(system, state0, dts, params, _LEDGER_NEWTON, ledger)
+        drifts.append(ledger.drift())
+    std, mod = drifts
     std_visible = bool(np.max(np.abs(std)) > MISMATCH_FLOOR)
     mod_small = bool(np.max(np.abs(mod)) <= DRIFT_TOL)
     lines = ["pressure-primitive Euler, standard vs modified temporal term",

@@ -15,14 +15,16 @@ structure for diagnostics and balance-law audits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .errors import NewtonConvergenceError
+from .errors import ConfigurationError, NewtonConvergenceError
 
 _FLAG_TOL = 1e-14
+_REL_DT_TOL = 1e-14  # relative spread below which a dt schedule is uniform
 
 
 def _as_vector(x) -> np.ndarray:
@@ -125,16 +127,22 @@ class SecondOrderState:
 
 @runtime_checkable
 class ResidualSystem(Protocol):
-    """Capability contract for a first-order semi-discrete system R(U̇, U, t)."""
+    """Capability contract for a first-order semi-discrete system R(U̇, U, t).
+
+    A system whose temporal term needs the whole step context defines
+    `step_residual(w, state_n, dt, params)` and `step_jacobian` in the Newton
+    unknown w = U̇_{n+1} instead, which `step` then solves.  It sets
+    `requires_shifted_midpoint = True` if it holds only where the scheme is
+    a shifted midpoint rule: second-order parameters on a uniform time mesh.
+    """
 
     def dimension(self) -> int: ...
 
     def residual(self, u_dot: np.ndarray, u: np.ndarray, t: float) -> np.ndarray: ...
 
-    def iteration_matrix_action(self, c_dot: float, c_u: float,
-                                u_dot: np.ndarray, u: np.ndarray, t: float,
-                                direction: np.ndarray) -> np.ndarray:
-        """Action of c_dot*dR/dU̇ + c_u*dR/dU on `direction` at (u_dot, u, t)."""
+    def iteration_matrix(self, c_dot: float, c_u: float, u_dot: np.ndarray,
+                         u: np.ndarray, t: float) -> np.ndarray:
+        """Dense c_dot*dR/dU̇ + c_u*dR/dU at (u_dot, u, t)."""
         ...
 
 
@@ -164,43 +172,39 @@ class NewtonSettings:
             raise ValueError("max_iters must be at least 1")
 
 
-def dense_iteration_matrix(system: ResidualSystem, c_dot: float, c_u: float,
-                           u_dot: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    """Dense c_dot*dR/dU̇ + c_u*dR/dU, via the system's own matrix if offered."""
-    matrix = getattr(system, "iteration_matrix", None)
-    if matrix is not None:
-        return np.asarray(matrix(c_dot, c_u, u_dot, u, t))
-    m = system.dimension()
-    dtype = np.result_type(u.dtype, u_dot.dtype)
-    out = np.empty((m, m), dtype=dtype)
-    eye = np.eye(m, dtype=dtype)
-    for j in range(m):
-        out[:, j] = system.iteration_matrix_action(c_dot, c_u, u_dot, u, t, eye[:, j])
-    return out
+def _check_dt(dt) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
 def _newton(residual: Callable[[np.ndarray], np.ndarray],
             jacobian: Callable[[np.ndarray], np.ndarray],
             x0: np.ndarray, settings: NewtonSettings,
             use_rel_tol: bool = True) -> tuple[np.ndarray, list[float]]:
-    """Newton iteration with a scaled infinity-norm stopping rule."""
+    """Newton iteration with a scaled infinity-norm stopping rule.
+
+    Stops at the first non-finite residual norm rather than iterating on it.
+    """
     x = np.array(x0, copy=True)
     r = residual(x)
     norms = [float(np.linalg.norm(r, np.inf))]
     tol = settings.abs_tol
     if use_rel_tol:
         tol = max(tol, settings.rel_tol * norms[0])
-    for _ in range(settings.max_iters):
+    while True:
+        if not math.isfinite(norms[-1]):
+            raise NewtonConvergenceError(
+                f"non-finite residual norm at Newton iteration {len(norms) - 1}; "
+                f"residual norms {norms}", norms)
         if norms[-1] <= tol:
             return x, norms
+        if len(norms) > settings.max_iters:
+            raise NewtonConvergenceError(
+                f"Newton failed to converge in {settings.max_iters} iterations; "
+                f"residual norms {norms}", norms)
         x = x - np.linalg.solve(jacobian(x), r)
         r = residual(x)
         norms.append(float(np.linalg.norm(r, np.inf)))
-    if norms[-1] <= tol:
-        return x, norms
-    raise NewtonConvergenceError(
-        f"Newton failed to converge in {settings.max_iters} iterations; "
-        f"residual norms {norms}", norms)
 
 
 def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
@@ -216,7 +220,7 @@ def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
         return system.residual(v, u0, t0)
 
     def jac(v):
-        return dense_iteration_matrix(system, 1.0, 0.0, v, u0, t0)
+        return system.iteration_matrix(1.0, 0.0, v, u0, t0)
 
     v, _ = _newton(res, jac, np.zeros_like(u0), newton, use_rel_tol=False)
     return v
@@ -228,12 +232,17 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     """One generalized-alpha step; Newton unknown is U̇_{n+1}.
 
     The predictor is the constant-solution choice U̇_{n+1} = ((gamma-1)/gamma)*U̇_n
-    and the iteration matrix is alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU.
+    and the iteration matrix is alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, or
+    the system's own `step_residual`/`step_jacobian` when it defines them.
     The returned state satisfies the update relation
     U_{n+1} = U_n + dt*((1-gamma)*U̇_n + gamma*U̇_{n+1}) to rounding.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
+    if (getattr(system, "requires_shifted_midpoint", False)
+            and not params.is_second_order()):
+        raise ConfigurationError(
+            f"{type(system).__name__} requires second-order parameters "
+            f"(gamma = 1/2 + alpha_m - alpha_f); got {params}")
     am, af, g = params.alpha_m, params.alpha_f, params.gamma
     if g == 0.0:
         raise ValueError("gamma = 0 leaves U̇_{n+1} undetermined")
@@ -241,15 +250,23 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     t_af = state_n.t + af * dt
     u_base = u_n + dt * (1.0 - g) * v_n
 
-    def res(v):
-        v_am = (1.0 - am) * v_n + am * v
-        u_af = (1.0 - af) * u_n + af * (u_base + dt * g * v)
-        return system.residual(v_am, u_af, t_af)
+    if hasattr(system, "step_residual"):
+        def res(v):
+            return system.step_residual(v, state_n, dt, params)
 
-    def jac(v):
-        v_am = (1.0 - am) * v_n + am * v
-        u_af = (1.0 - af) * u_n + af * (u_base + dt * g * v)
-        return dense_iteration_matrix(system, am, af * g * dt, v_am, u_af, t_af)
+        def jac(v):
+            return system.step_jacobian(v, state_n, dt, params)
+    else:
+        def blend(v):
+            """(U̇_{n+am}, U_{n+af}) implied by U̇_{n+1} = v."""
+            return ((1.0 - am) * v_n + am * v,
+                    (1.0 - af) * u_n + af * (u_base + dt * g * v))
+
+        def res(v):
+            return system.residual(*blend(v), t_af)
+
+        def jac(v):
+            return system.iteration_matrix(am, af * g * dt, *blend(v), t_af)
 
     v0 = ((g - 1.0) / g) * v_n
     v_np1, _ = _newton(res, jac, v0, newton)
@@ -257,12 +274,24 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
 
 
 def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
-              params: GenAlphaParams,
-              newton: NewtonSettings = NewtonSettings()) -> list[StatePair]:
-    """Run `step` over a per-step dt schedule; returns all states incl. state0."""
+              params: GenAlphaParams, newton: NewtonSettings = NewtonSettings(),
+              ledger=None) -> list[StatePair]:
+    """Run `step` over a per-step dt schedule; returns all states incl. state0.
+
+    Each step is recorded into `ledger` (an `audit.BalanceLedger`) when one
+    is given.  A system with `requires_shifted_midpoint` refuses a
+    nonuniform schedule before the first step.
+    """
+    if (getattr(system, "requires_shifted_midpoint", False)
+            and any(abs(dt - dts[0]) > _REL_DT_TOL * abs(dts[0]) for dt in dts)):
+        raise ConfigurationError(
+            f"{type(system).__name__} is only conservative on a uniform time "
+            f"mesh; got a nonuniform dt schedule")
     states = [state0]
     for dt in dts:
         states.append(step(system, states[-1], dt, params, newton))
+        if ledger is not None:
+            ledger.record_step(system, states[-2], states[-1], params, dt)
     return states
 
 
@@ -276,8 +305,7 @@ def shifted_state(state: StatePair, dt: float, alpha_f: float,
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     return state.u + (alpha_f - 0.5) * dt * state.u_dot
 
 
@@ -325,8 +353,7 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
     """
     if params.beta is None:
         raise ValueError("second-order stepping requires params.beta")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     am, af, g, beta = params.alpha_m, params.alpha_f, params.gamma, params.beta
     if g == 0.0:
         raise ValueError("gamma = 0 leaves Ü_{n+1} undetermined")

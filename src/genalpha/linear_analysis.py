@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .integrator import (GenAlphaParams, NewtonSettings, StatePair,
-                         consistent_initial_rate, step)
+                         consistent_initial_rate, integrate, step)
 from .odes import ScalarLinear
 
 _EPS = np.finfo(float).eps
@@ -94,11 +94,10 @@ def observed_order(system, t_final: float, dt_values: Sequence[float],
         n_steps = round(t_final / dt)
         if abs(n_steps * dt - t_final) > 1e-9 * t_final:
             raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
-        state = StatePair(system.exact(0.0),
-                          consistent_initial_rate(system, system.exact(0.0), 0.0,
-                                                  newton), 0.0)
-        for _ in range(n_steps):
-            state = step(system, state, dt, params, newton)
+        state0 = StatePair(system.exact(0.0),
+                           consistent_initial_rate(system, system.exact(0.0), 0.0,
+                                                   newton), 0.0)
+        state = integrate(system, state0, [dt] * n_steps, params, newton)[-1]
         errors.append(float(np.linalg.norm(state.u - u_ref, np.inf)))
 
     floor = 1e3 * _EPS * max(1.0, float(np.linalg.norm(u_ref, np.inf)))

@@ -28,9 +28,6 @@ class ScalarLinear:
         dtype = np.result_type(type(self.lam), u.dtype, float)
         return np.array([[c_dot - c_u * self.lam]], dtype=dtype)
 
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return (c_dot - c_u * self.lam) * direction
-
     def exact(self, t: float) -> np.ndarray:
         return np.atleast_1d(self.u0 * np.exp(self.lam * t))
 
@@ -50,9 +47,6 @@ class LinearSystem:
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
         m = self.dimension()
         return c_dot * np.eye(m) - c_u * self.a_matrix
-
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return c_dot * direction - c_u * (self.a_matrix @ direction)
 
 
 class GenericFirstOrder:
@@ -78,9 +72,6 @@ class GenericFirstOrder:
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
         return c_dot * np.eye(self.m) - c_u * np.asarray(self.jac(u, t))
 
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return c_dot * direction - c_u * (np.asarray(self.jac(u, t)) @ direction)
-
     def exact(self, t: float) -> np.ndarray:
         if self._exact is None:
             raise AttributeError("no exact solution attached")
@@ -101,9 +92,6 @@ class PureDrift:
 
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
         return c_dot * np.eye(self.m)
-
-    def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, direction):
-        return c_dot * direction
 
 
 class HarmonicOscillator:

@@ -11,17 +11,17 @@ import pytest
 
 from genalpha import (NewtonSettings, SecondOrderState, StatePair,
                       consistent_initial_acceleration, consistent_initial_rate,
-                      make_params, midpoint_identity_residual, params_from_rho_inf,
-                      second_order_identity_residual, shifted_state, step,
-                      step_second_order)
-from genalpha.advdiff import (AdvDiffConfig, Mesh1D, build_advdiff_system,
+                      integrate, make_params, midpoint_identity_residual,
+                      params_from_rho_inf, second_order_identity_residual,
+                      shifted_state, step, step_second_order)
+from genalpha.advdiff import (AdvDiffConfig, AdvDiffSystem, Mesh1D,
                               project_initial, stabilization_form)
 from genalpha.audit import BalanceLedger
-from genalpha.conslaw import (Burgers1D, Euler1D, PeriodicFemSpace,
-                              build_conslaw_system, build_nonconservative_system,
-                              pressure_primitive_map, step_modified)
+from genalpha.conslaw import (Burgers1D, ConservedSystem, Euler1D,
+                              ModifiedNonconservativeSystem,
+                              NonconservativeSystem, PeriodicFemSpace,
+                              PressurePrimitiveMap)
 from genalpha.conslaw import stabilization_form as system_stabilization_form
-from genalpha.integrator import dense_iteration_matrix
 from genalpha.linear_analysis import (amplification_matrix, observed_order,
                                       spectral_radius)
 from genalpha.odes import GenericFirstOrder, HarmonicOscillator, ScalarLinear
@@ -56,18 +56,12 @@ def _euler_primitive_fields(x, amplitude=0.1):
     return rho, vel, pres
 
 
-def _run_ledger(system, u0, dts, params, stepper=None, init_system=None):
+def _run_ledger(system, u0, dts, params, init_system=None):
     init = init_system if init_system is not None else system
     state = StatePair(u0, consistent_initial_rate(init, u0, 0.0,
                                                   LEDGER_NEWTON), 0.0)
     ledger = BalanceLedger()
-    for dt in dts:
-        if stepper is None:
-            nxt = step(system, state, dt, params, LEDGER_NEWTON)
-        else:
-            nxt = stepper(system, state, dt, params, LEDGER_NEWTON)
-        ledger.record_step(system, state, nxt, params, dt)
-        state = nxt
+    integrate(system, state, dts, params, LEDGER_NEWTON, ledger)
     return ledger
 
 
@@ -130,8 +124,8 @@ def _implicit_midpoint_step(system, u0, t0, dt):
         r = system.residual((u1 - u0) / dt, 0.5 * (u0 + u1), t_mid)
         if np.linalg.norm(r, np.inf) <= 1e-14:
             break
-        j = dense_iteration_matrix(system, 1.0 / dt, 0.5, (u1 - u0) / dt,
-                                   0.5 * (u0 + u1), t_mid)
+        j = system.iteration_matrix(1.0 / dt, 0.5, (u1 - u0) / dt,
+                                    0.5 * (u0 + u1), t_mid)
         u1 = u1 - np.linalg.solve(j, r)
     return u1
 
@@ -183,7 +177,7 @@ def test_criterion_06_advdiff_balance():
     mesh = Mesh1D(64)
 
     config = AdvDiffConfig(a=1.0, kappa=0.01, u0=_bump, stabilization="supg")
-    system = build_advdiff_system(mesh, config, 1e-3)
+    system = AdvDiffSystem(mesh, config, 1e-3)
     ledger = _run_ledger(system, project_initial(mesh, _bump), [1e-3] * 200,
                          params)
     drift_a = abs(ledger.drift()[0])
@@ -191,7 +185,7 @@ def test_criterion_06_advdiff_balance():
 
     forced = AdvDiffConfig(a=0.0, kappa=1.0, u0=_bump,
                            f=lambda x, t: np.ones_like(x))
-    system_b = build_advdiff_system(mesh, forced, 1e-3)
+    system_b = AdvDiffSystem(mesh, forced, 1e-3)
     ledger_b = _run_ledger(system_b, project_initial(mesh, _bump), [1e-3] * 200,
                            params)
     drift_b = abs(ledger_b.drift()[0])
@@ -218,12 +212,12 @@ def test_criterion_07_conservation_law_balance():
     params = params_from_rho_inf(0.5)
     space = PeriodicFemSpace(32)
 
-    burgers = build_conslaw_system(space, Burgers1D())
+    burgers = ConservedSystem(space, Burgers1D())
     u0 = burgers.project(lambda x: np.array([0.1 * np.sin(2 * np.pi * x)]))
     drift_b = np.max(np.abs(_run_ledger(burgers, u0, [1e-3] * 100,
                                         params).drift()))
 
-    euler = build_conslaw_system(space, Euler1D(1.4))
+    euler = ConservedSystem(space, Euler1D(1.4))
     u0e = euler.project(_euler_conserved_ic)
     drift_e = np.max(np.abs(_run_ledger(euler, u0e, [1e-3] * 100,
                                         params).drift()))
@@ -235,17 +229,16 @@ def test_criterion_07_conservation_law_balance():
 def test_criterion_08_nonconservative_demonstration():
     params = params_from_rho_inf(0.5)
     space = PeriodicFemSpace(32)
-    varmap = pressure_primitive_map(1.4, 1.0)
+    varmap = PressurePrimitiveMap(1.4, 1.0)
     model = Euler1D(1.4)
 
-    standard = build_nonconservative_system(space, model, varmap, "standard")
+    standard = NonconservativeSystem(space, model, varmap)
     v0 = standard.project(_euler_primitive_ic)
     drift_std = _run_ledger(standard, v0, [1e-3] * 100, params).drift()
 
-    modified = build_nonconservative_system(space, model, varmap, "modified")
+    modified = ModifiedNonconservativeSystem(space, model, varmap)
     drift_mod = _run_ledger(
         modified, v0, [1e-3] * 100, params,
-        stepper=lambda sys_, st, dt, p, nw: step_modified(sys_, st, dt, p, nw),
         init_system=standard,   # rate initialization uses the plain residual
     ).drift()
 
@@ -259,7 +252,7 @@ def test_criterion_08_nonconservative_demonstration():
 def test_criterion_09_nonuniform_mesh_demonstration():
     params = params_from_rho_inf(0.5)
     space = PeriodicFemSpace(32)
-    burgers = build_conslaw_system(space, Burgers1D())
+    burgers = ConservedSystem(space, Burgers1D())
     u0 = burgers.project(lambda x: np.array([0.1 * np.sin(2 * np.pi * x)]))
     dts = [1e-3 if i % 2 == 0 else 2e-3 for i in range(100)]
     ledger = _run_ledger(burgers, u0, dts, params)
@@ -293,7 +286,7 @@ def test_criterion_10_second_order_identity():
 def test_criterion_11_stabilization_kernel():
     rng = np.random.default_rng(99)
     mesh = Mesh1D(32)
-    scalar = build_advdiff_system(
+    scalar = AdvDiffSystem(
         mesh, AdvDiffConfig(a=1.0, kappa=0.01, stabilization="supg"), 1e-3)
     ones = np.ones(scalar.dimension())
     worst = 0.0
@@ -302,7 +295,7 @@ def test_criterion_11_stabilization_kernel():
         worst = max(worst, abs(stabilization_form(scalar, v, ones)))
 
     space = PeriodicFemSpace(16)
-    system = build_conslaw_system(space, Euler1D(1.4), stabilization="supg-like")
+    system = ConservedSystem(space, Euler1D(1.4), stabilization="supg-like")
     for j in range(3):
         e_j = np.zeros(system.dimension())
         e_j[j::3] = 1.0

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from genalpha import (NewtonSettings, StatePair, consistent_initial_rate,
                       integrate, params_from_rho_inf)
-from genalpha.advdiff import (AdvDiffConfig, Mesh1D, build_advdiff_system,
+from genalpha.advdiff import (AdvDiffConfig, AdvDiffSystem, Mesh1D,
                               element_advection, element_mass, element_stiffness,
                               outflow_flux, project_initial, stabilization_form,
-                              supg_tau, total_quantity)
+                              supg_tau)
 
 RNG = np.random.default_rng(20260809)
 
@@ -62,7 +62,7 @@ class TestSupgTau:
 class TestResidual:
     def test_constants_in_kernel_of_pure_diffusion(self):
         mesh = Mesh1D(16)
-        system = build_advdiff_system(mesh, AdvDiffConfig(a=0.0, kappa=1.0))
+        system = AdvDiffSystem(mesh, AdvDiffConfig(a=0.0, kappa=1.0))
         u = np.full(system.dimension(), 3.7)
         r = system.residual(np.zeros_like(u), u, 0.3)
         assert np.max(np.abs(r)) <= 1e-13
@@ -71,7 +71,7 @@ class TestResidual:
         # with u = x and kappa exactly cancelling on linears, the interior
         # residual rows reduce to -int(a*x*phi_i') = a*dx per hat function
         mesh = Mesh1D(10)
-        system = build_advdiff_system(mesh, AdvDiffConfig(a=1.0, kappa=1e-6))
+        system = AdvDiffSystem(mesh, AdvDiffConfig(a=1.0, kappa=1e-6))
         u = mesh.nodes.copy()
         r = system.residual(np.zeros_like(u), u, 0.0)
         assert np.allclose(r[1:-1], 1.0 * mesh.dx, rtol=0, atol=1e-13)
@@ -85,7 +85,7 @@ class TestResidual:
             f=lambda x, t: np.sin(2 * np.pi * x) + t,
             h_in=lambda t: 0.3 * t, h_out=lambda t: -0.1,
             stabilization="supg")
-        system = build_advdiff_system(mesh, config, dt=0.01)
+        system = AdvDiffSystem(mesh, config, dt=0.01)
         u = RNG.normal(size=system.dimension())
         u_dot = RNG.normal(size=system.dimension())
         t = 0.37
@@ -97,7 +97,7 @@ class TestResidual:
     def test_iteration_matrix_matches_finite_differences(self):
         mesh = Mesh1D(12)
         config = AdvDiffConfig(a=1.0, kappa=0.02, stabilization="supg")
-        system = build_advdiff_system(mesh, config, dt=0.05)
+        system = AdvDiffSystem(mesh, config, dt=0.05)
         m = system.dimension()
         u, u_dot = RNG.normal(size=m), RNG.normal(size=m)
         d = RNG.normal(size=m)
@@ -106,7 +106,7 @@ class TestResidual:
         fd = (system.residual(u_dot + eps * c_dot * d, u + eps * c_u * d, t)
               - system.residual(u_dot - eps * c_dot * d, u - eps * c_u * d, t)
               ) / (2 * eps)
-        action = system.iteration_matrix_action(c_dot, c_u, u_dot, u, t, d)
+        action = system.iteration_matrix(c_dot, c_u, u_dot, u, t) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -123,40 +123,40 @@ class TestProjection:
 
     def test_sine_total_matches_analytic_integral(self):
         mesh = Mesh1D(256)
-        system = build_advdiff_system(mesh, AdvDiffConfig(a=0.0, kappa=1.0))
+        system = AdvDiffSystem(mesh, AdvDiffConfig(a=0.0, kappa=1.0))
         c = project_initial(mesh, lambda x: np.sin(np.pi * x))
-        assert total_quantity(system, c) == pytest.approx(2.0 / np.pi, abs=1e-10)
+        assert system.total(c) == pytest.approx(2.0 / np.pi, abs=1e-10)
 
 
 class TestTotals:
     def test_domain_measure(self):
-        system = build_advdiff_system(Mesh1D(7), AdvDiffConfig())
-        assert total_quantity(system, np.ones(8)) == pytest.approx(1.0, abs=1e-14)
+        system = AdvDiffSystem(Mesh1D(7), AdvDiffConfig())
+        assert system.total(np.ones(8)) == pytest.approx(1.0, abs=1e-14)
 
     def test_linear_total(self):
         mesh = Mesh1D(13)
-        system = build_advdiff_system(mesh, AdvDiffConfig())
-        assert total_quantity(system, mesh.nodes) == pytest.approx(0.5, abs=1e-14)
+        system = AdvDiffSystem(mesh, AdvDiffConfig())
+        assert system.total(mesh.nodes) == pytest.approx(0.5, abs=1e-14)
 
     def test_odd_sine_total_vanishes(self):
         mesh = Mesh1D(64)
-        system = build_advdiff_system(mesh, AdvDiffConfig())
+        system = AdvDiffSystem(mesh, AdvDiffConfig())
         c = project_initial(mesh, lambda x: np.sin(2 * np.pi * x))
-        assert abs(total_quantity(system, c)) <= 1e-12
+        assert abs(system.total(c)) <= 1e-12
 
 
 class TestOutflow:
     def test_positive_advection(self):
-        system = build_advdiff_system(Mesh1D(4), AdvDiffConfig(a=2.0))
+        system = AdvDiffSystem(Mesh1D(4), AdvDiffConfig(a=2.0))
         u = np.array([0.0, 0.0, 0.0, 0.0, 3.0])
         assert outflow_flux(system, u) == pytest.approx(6.0)
 
     def test_zero_advection(self):
-        system = build_advdiff_system(Mesh1D(4), AdvDiffConfig(a=0.0))
+        system = AdvDiffSystem(Mesh1D(4), AdvDiffConfig(a=0.0))
         assert outflow_flux(system, np.ones(5)) == 0.0
 
     def test_negative_advection_outflow_at_left(self):
-        system = build_advdiff_system(Mesh1D(4), AdvDiffConfig(a=-1.0))
+        system = AdvDiffSystem(Mesh1D(4), AdvDiffConfig(a=-1.0))
         u = np.array([5.0, 0.0, 0.0, 0.0, 9.0])
         assert outflow_flux(system, u) == pytest.approx(5.0)
 
@@ -164,7 +164,7 @@ class TestOutflow:
 class TestStabilizationKernel:
     def test_annihilates_constants(self):
         mesh = Mesh1D(32)
-        system = build_advdiff_system(
+        system = AdvDiffSystem(
             mesh, AdvDiffConfig(a=1.0, kappa=0.01, stabilization="supg"), dt=0.01)
         ones = np.ones(system.dimension())
         for _ in range(100):
@@ -174,7 +174,7 @@ class TestStabilizationKernel:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-5.0, 5.0), st.floats(0.01, 2.0))
     def test_annihilates_constants_property(self, a, kappa):
-        system = build_advdiff_system(
+        system = AdvDiffSystem(
             Mesh1D(8), AdvDiffConfig(a=a, kappa=kappa, stabilization="supg"),
             dt=0.1)
         v = RNG.normal(size=9)
@@ -184,7 +184,7 @@ class TestStabilizationKernel:
 class TestConsistentInitialization:
     def test_matches_direct_mass_solve(self):
         mesh = Mesh1D(32)
-        system = build_advdiff_system(mesh, AdvDiffConfig(a=1.0, kappa=0.01))
+        system = AdvDiffSystem(mesh, AdvDiffConfig(a=1.0, kappa=0.01))
         u0 = project_initial(mesh, lambda x: np.sin(np.pi * x))
         u_dot = consistent_initial_rate(system, u0, 0.0)
         direct = np.linalg.solve(system.mass,
@@ -196,7 +196,7 @@ class TestConsistentInitialization:
 class TestGenAlphaOnAdvDiff:
     def test_short_run_is_stable_and_conservative_per_step(self):
         mesh = Mesh1D(32)
-        system = build_advdiff_system(
+        system = AdvDiffSystem(
             mesh, AdvDiffConfig(a=1.0, kappa=0.01, u0=bump,
                                 stabilization="supg"), dt=1e-3)
         u0 = project_initial(mesh, bump)

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from genalpha import (StatePair, consistent_initial_rate, make_params,
-                      params_from_rho_inf, step)
-from genalpha.advdiff import (AdvDiffConfig, Mesh1D, build_advdiff_system,
-                              project_initial)
-from genalpha.audit import (BalanceLedger, ledger_drift, record_step, report,
-                            report_to_csv)
-from genalpha.conslaw import Burgers1D, PeriodicFemSpace, build_conslaw_system
+from genalpha import (StatePair, consistent_initial_rate, integrate,
+                      make_params, params_from_rho_inf, step)
+from genalpha.advdiff import AdvDiffConfig, AdvDiffSystem, Mesh1D, project_initial
+from genalpha.audit import BalanceLedger, report_to_csv
+from genalpha.conslaw import Burgers1D, ConservedSystem, PeriodicFemSpace
 
 P = params_from_rho_inf(0.5)
 
@@ -18,17 +16,12 @@ def bump(x):
 
 def advdiff_run(config, dts, n_elements=32, dt_tau=None):
     mesh = Mesh1D(n_elements)
-    system = build_advdiff_system(mesh, config,
-                                  dt_tau if dt_tau is not None else dts[0])
+    system = AdvDiffSystem(mesh, config,
+                           dt_tau if dt_tau is not None else dts[0])
     u0 = project_initial(mesh, config.u0 if config.u0 else bump)
     state = StatePair(u0, consistent_initial_rate(system, u0, 0.0), 0.0)
     ledger = BalanceLedger()
-    states = [state]
-    for dt in dts:
-        nxt = step(system, state, dt, P)
-        ledger.record_step(system, state, nxt, P, dt)
-        states.append(nxt)
-        state = nxt
+    states = integrate(system, state, dts, P, ledger=ledger)
     return system, states, ledger
 
 
@@ -49,13 +42,13 @@ class TestRecordStep:
 
     def test_burgers_source_free(self):
         space = PeriodicFemSpace(16)
-        system = build_conslaw_system(space, Burgers1D())
+        system = ConservedSystem(space, Burgers1D())
         u0 = system.project(lambda x: np.array([0.1 * np.sin(2 * np.pi * x)]))
         state = StatePair(u0, consistent_initial_rate(system, u0, 0.0), 0.0)
         ledger = BalanceLedger()
         for _ in range(3):
             nxt = step(system, state, 1e-3, P)
-            record_step(ledger, system, state, nxt, P, 1e-3)
+            ledger.record_step(system, state, nxt, P, 1e-3)
             state = nxt
         assert all(np.all(e.source_integral == 0.0) for e in ledger.entries)
 
@@ -71,13 +64,13 @@ class TestDrift:
         config = AdvDiffConfig(a=1.0, kappa=0.01, u0=bump, stabilization="supg")
         _, _, ledger = advdiff_run(config, [1e-3] * 50, n_elements=64)
         assert ledger.certified
-        assert abs(ledger_drift(ledger)[0]) <= 1e-12
+        assert abs(ledger.drift()[0]) <= 1e-12
 
     def test_forced_run_total_grows_by_n_dt(self):
         config = AdvDiffConfig(a=0.0, kappa=1.0, u0=bump,
                                f=lambda x, t: np.ones_like(x))
         system, states, ledger = advdiff_run(config, [1e-3] * 40)
-        assert abs(ledger_drift(ledger)[0]) <= 1e-12
+        assert abs(ledger.drift()[0]) <= 1e-12
         t_first = ledger.entries[0].shifted_total_minus[0]
         t_last = ledger.entries[-1].shifted_total_plus[0]
         assert t_last - t_first == pytest.approx(40 * 1e-3, abs=1e-12)
@@ -89,13 +82,13 @@ class TestDrift:
         _, _, ledger = advdiff_run(config, dts, dt_tau=1e-3)
         assert not ledger.certified
         assert not ledger.uniform_dt
-        assert abs(ledger_drift(ledger)[0]) > 1e-10
+        assert abs(ledger.drift()[0]) > 1e-10
         assert ledger.max_mismatch > 1e-10
 
     def test_non_second_order_params_uncertified(self):
         mesh = Mesh1D(16)
         config = AdvDiffConfig(a=0.0, kappa=1.0, u0=bump)
-        system = build_advdiff_system(mesh, config)
+        system = AdvDiffSystem(mesh, config)
         u0 = project_initial(mesh, bump)
         bad = make_params(0.5, 0.5, 1.0)
         state = StatePair(u0, consistent_initial_rate(system, u0, 0.0), 0.0)
@@ -134,7 +127,7 @@ class TestReport:
     def test_single_step_table(self):
         config = AdvDiffConfig(a=0.0, kappa=1.0, u0=bump)
         _, _, ledger = advdiff_run(config, [1e-3])
-        rep = report(ledger)
+        rep = ledger.report()
         assert rep.n_steps == 1
         assert len(rep.table) == 1
         assert rep.certified
@@ -142,15 +135,15 @@ class TestReport:
     def test_certified_flag_propagates(self):
         config = AdvDiffConfig(a=1.0, kappa=0.01, u0=bump)
         _, _, ledger = advdiff_run(config, [1e-3] * 4)
-        assert report(ledger).certified
+        assert ledger.report().certified
         dts = [1e-3, 2e-3, 1e-3, 2e-3]
         _, _, uncert = advdiff_run(config, dts, dt_tau=1e-3)
-        assert not report(uncert).certified
+        assert not uncert.report().certified
 
     def test_csv_shape_and_precision(self):
         config = AdvDiffConfig(a=1.0, kappa=0.01, u0=bump)
         _, _, ledger = advdiff_run(config, [1e-3] * 3)
-        text = report_to_csv(report(ledger))
+        text = report_to_csv(ledger.report())
         lines = text.strip().split("\n")
         assert lines[0] == ("step,t_alpha_f,component,shifted_total_minus,"
                             "source_accum,outflow_accum,drift")
@@ -162,11 +155,11 @@ class TestReport:
     def test_final_row_drift_matches_drift_op(self):
         config = AdvDiffConfig(a=1.0, kappa=0.01, u0=bump)
         _, _, ledger = advdiff_run(config, [1e-3] * 5)
-        rep = report(ledger)
+        rep = ledger.report()
         assert rep.table[-1][-1] == pytest.approx(ledger.drift()[0], abs=1e-17)
 
     def test_csv_deterministic(self):
         config = AdvDiffConfig(a=1.0, kappa=0.01, u0=bump)
         _, _, l1 = advdiff_run(config, [1e-3] * 3)
         _, _, l2 = advdiff_run(config, [1e-3] * 3)
-        assert report_to_csv(report(l1)) == report_to_csv(report(l2))
+        assert report_to_csv(l1.report()) == report_to_csv(l2.report())

@@ -111,6 +111,22 @@ ZERO_VALUE_CONFIGS = [
     "[experiment]\nname = ode-convergence\n[integrator]\nt_final = 0\n",
 ]
 
+# out-of-range values that `run` would reject: (config, line named)
+OUT_OF_RANGE_CONFIGS = {
+    "rho_inf-nan": ("[experiment]\nname = amplification-sweep\n"
+                    "[integrator]\nrho_inf = nan\n", 4),
+    "dt-negative": ("[experiment]\nname = conslaw-balance\n"
+                    "[integrator]\ndt = -1\n", 4),
+    "dt-inf": ("[experiment]\nname = conslaw-balance\n"
+               "[integrator]\ndt = inf\n", 4),
+    "dt_schedule-negative": ("[experiment]\nname = conslaw-balance\n"
+                             "[integrator]\ndt_schedule = 0.001,-0.002\n", 4),
+    "kappa-zero": ("[experiment]\nname = advdiff-balance\n"
+                   "[spatial]\nkappa = 0\n", 4),
+    "euler-amplitude": ("[experiment]\nname = conslaw-balance\nmodel = euler\n"
+                        "[spatial]\namplitude = 5\n", 5),
+}
+
 
 class TestCli:
     def _write(self, tmp_path, text):
@@ -135,6 +151,15 @@ class TestCli:
         path = self._write(tmp_path, text)
         assert main(["validate", str(path)]) == 1
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", OUT_OF_RANGE_CONFIGS.values(),
+                             ids=OUT_OF_RANGE_CONFIGS)
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text,
+                                               line):
+        with pytest.raises(ConfigurationError, match=f"line {line}: "):
+            parse_config(text)
+        assert main(["validate", str(self._write(tmp_path, text))]) == 1
+        assert f"line {line}: " in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 1
@@ -167,6 +192,17 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 1
         assert "kappa" in capsys.readouterr().err
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        # admissible initial data whose large steps make the density negative
+        text = ("[experiment]\nname = conslaw-balance\nmodel = euler\n"
+                "[integrator]\ndt = 0.5\nn_steps = 3\n"
+                "[spatial]\nn_elements = 8\namplitude = 0.9\n")
+        path = self._write(tmp_path, text)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        assert "AdmissibilityError" in capsys.readouterr().err
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         text = ("[experiment]\nname = second-order-identity\n"

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genalpha import (AdmissibilityError, ConfigurationError, NewtonSettings,
-                      StatePair, consistent_initial_rate, params_from_rho_inf,
-                      step)
+                      StatePair, consistent_initial_rate, integrate,
+                      params_from_rho_inf, step)
 from genalpha.audit import BalanceLedger
-from genalpha.conslaw import (_QP, _QW, Burgers1D, Euler1D, PeriodicFemSpace,
-                              _field_values, build_conslaw_system,
-                              build_nonconservative_system,
-                              pressure_primitive_map, project_periodic,
-                              run_modified, stabilization_form, step_modified,
-                              total_conserved)
+from genalpha.conslaw import (_QP, _QW, Burgers1D, ConservedSystem, Euler1D,
+                              ModifiedNonconservativeSystem,
+                              NonconservativeSystem, PeriodicFemSpace,
+                              PressurePrimitiveMap, _field_values,
+                              project_periodic, stabilization_form)
 
 RNG = np.random.default_rng(42)
 GAS = 1.4
@@ -88,14 +87,14 @@ class TestModels:
 
 class TestPressurePrimitiveMap:
     def test_reference_state(self):
-        vm = pressure_primitive_map(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS, 1.0)
         assert np.allclose(vm.to_conserved(np.array([1.0, 0.0, 1.0])),
                            [1.0, 0.0, 2.5], atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.5, 2.0), st.floats(-0.5, 0.5), st.floats(0.5, 2.0))
     def test_jacobian_matches_fd(self, pres, vel, temp):
-        vm = pressure_primitive_map(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS, 1.0)
         v = np.array([pres, vel, temp])
         eps = 1e-6
         fd = np.column_stack([
@@ -105,7 +104,7 @@ class TestPressurePrimitiveMap:
         assert np.max(np.abs(j - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_hessian_matches_fd_of_jacobian(self):
-        vm = pressure_primitive_map(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS, 1.0)
         v = np.array([1.3, -0.2, 0.8])
         eps = 1e-6
         fd = np.stack([(vm.jacobian(v + eps * e) - vm.jacobian(v - eps * e))
@@ -114,7 +113,7 @@ class TestPressurePrimitiveMap:
 
     def test_round_trip_by_newton_inversion(self):
         # invert U(V) numerically as an independent oracle
-        vm = pressure_primitive_map(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS, 1.0)
         v_true = np.array([1.05, 0.1, 0.95])
         u_target = vm.to_conserved(v_true)
         v = np.array([1.0, 0.0, 1.0])
@@ -126,11 +125,11 @@ class TestPressurePrimitiveMap:
         assert np.max(np.abs(v - v_true)) <= 1e-10
 
     def test_admissibility(self):
-        vm = pressure_primitive_map(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS, 1.0)
         with pytest.raises(AdmissibilityError):
             vm.to_conserved(np.array([1.0, 0.0, -0.1]))
         with pytest.raises(ValueError):
-            pressure_primitive_map(1.0, 1.0)
+            PressurePrimitiveMap(1.0, 1.0)
 
 
 class TestProjection:
@@ -143,14 +142,14 @@ class TestProjection:
 class TestConservedSystem:
     def test_euler_constant_state_steady(self):
         space = PeriodicFemSpace(8)
-        system = build_conslaw_system(space, Euler1D(GAS))
+        system = ConservedSystem(space, Euler1D(GAS))
         u = system.project(lambda x: np.array([1.0, 0.0, 2.5]))
         r = system.residual(np.zeros_like(u), u, 0.0)
         assert np.max(np.abs(r)) <= 1e-13
 
     def test_burgers_flux_total_vanishes_periodically(self):
         space = PeriodicFemSpace(32)
-        system = build_conslaw_system(space, Burgers1D())
+        system = ConservedSystem(space, Burgers1D())
         nodes = np.arange(32) / 32.0
         u = np.sin(2 * np.pi * nodes)
         r = system.residual(np.zeros_like(u), u, 0.0)
@@ -162,7 +161,7 @@ class TestConservedSystem:
     ])
     def test_iteration_matrix_matches_fd(self, model, ic):
         space = PeriodicFemSpace(8)
-        system = build_conslaw_system(space, model)
+        system = ConservedSystem(space, model)
         u = system.project(ic)
         u_dot = 0.1 * RNG.normal(size=u.size)
         d = RNG.normal(size=u.size)
@@ -171,12 +170,12 @@ class TestConservedSystem:
         fd = (system.residual(u_dot + eps * c_dot * d, u + eps * c_u * d, t)
               - system.residual(u_dot - eps * c_dot * d, u - eps * c_u * d, t)
               ) / (2 * eps)
-        action = system.iteration_matrix_action(c_dot, c_u, u_dot, u, t, d)
+        action = system.iteration_matrix(c_dot, c_u, u_dot, u, t) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
     def test_burgers_step_newton_budget_and_drift(self):
         space = PeriodicFemSpace(32)
-        system = build_conslaw_system(space, Burgers1D())
+        system = ConservedSystem(space, Burgers1D())
         u0 = system.project(lambda x: np.array([0.1 * np.sin(2 * np.pi * x)]))
         params = params_from_rho_inf(0.5)
         budget = NewtonSettings(max_iters=5)
@@ -192,35 +191,36 @@ class TestConservedSystem:
 class TestTotals:
     def test_burgers_constant(self):
         space = PeriodicFemSpace(10)
-        total = total_conserved(space, Burgers1D(), np.full(10, 0.7))
+        total = ConservedSystem(space, Burgers1D()).total(np.full(10, 0.7))
         assert total[0] == pytest.approx(0.7, abs=1e-14)
 
     def test_euler_constant(self):
         space = PeriodicFemSpace(10)
-        system = build_conslaw_system(space, Euler1D(GAS))
+        system = ConservedSystem(space, Euler1D(GAS))
         coeffs = system.project(lambda x: np.array([1.0, 0.0, 2.5]))
-        assert np.allclose(total_conserved(space, Euler1D(GAS), coeffs),
+        assert np.allclose(system.total(coeffs),
                            [1.0, 0.0, 2.5], atol=1e-13)
 
     def test_burgers_sine_total_vanishes(self):
         space = PeriodicFemSpace(64)
-        system = build_conslaw_system(space, Burgers1D())
+        system = ConservedSystem(space, Burgers1D())
         coeffs = system.project(lambda x: np.array([np.sin(2 * np.pi * x)]))
-        assert abs(total_conserved(space, Burgers1D(), coeffs)[0]) <= 1e-12
+        assert abs(system.total(coeffs)[0]) <= 1e-12
 
     def test_nonconserved_representation_constant(self):
         space = PeriodicFemSpace(10)
-        vm = pressure_primitive_map(GAS, 1.0)
+        system = NonconservativeSystem(space, Euler1D(GAS),
+                                       PressurePrimitiveMap(GAS, 1.0))
         coeffs = project_periodic(space, lambda x: np.array([1.0, 0.0, 1.0]), 3)
-        total = total_conserved(space, Euler1D(GAS), coeffs, varmap=vm)
+        total = system.total(coeffs)
         assert np.allclose(total, [1.0, 0.0, 2.5], atol=1e-13)
 
 
 class TestStabilization:
     def test_annihilates_unit_vectors(self):
         space = PeriodicFemSpace(16)
-        system = build_conslaw_system(space, Euler1D(GAS),
-                                      stabilization="supg-like")
+        system = ConservedSystem(space, Euler1D(GAS),
+                                 stabilization="supg-like")
         for j in range(3):
             e_j = np.zeros(48)
             e_j[j::3] = 1.0
@@ -230,41 +230,38 @@ class TestStabilization:
 
     def test_iteration_matrix_with_stabilization_matches_fd(self):
         space = PeriodicFemSpace(8)
-        system = build_conslaw_system(space, Burgers1D(),
-                                      stabilization="supg-like")
+        system = ConservedSystem(space, Burgers1D(),
+                                 stabilization="supg-like")
         u = system.project(lambda x: np.array([0.2 * np.sin(2 * np.pi * x)]))
         u_dot, d = 0.1 * RNG.normal(size=8), RNG.normal(size=8)
         eps = 1e-6
         fd = (system.residual(u_dot + eps * 0.5 * d, u + eps * 0.4 * d, 0.0)
               - system.residual(u_dot - eps * 0.5 * d, u - eps * 0.4 * d, 0.0)
               ) / (2 * eps)
-        action = system.iteration_matrix_action(0.5, 0.4, u_dot, u, 0.0, d)
+        action = system.iteration_matrix(0.5, 0.4, u_dot, u, 0.0) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
 class TestNonconservative:
     def setup_method(self):
         self.space = PeriodicFemSpace(8)
-        self.vm = pressure_primitive_map(GAS, 1.0)
+        self.vm = PressurePrimitiveMap(GAS, 1.0)
         self.model = Euler1D(GAS)
 
     def test_constant_state_steady_both_modes(self):
         v_const = lambda x: np.array([1.0, 0.0, 1.0])
         params = params_from_rho_inf(0.5)
-        std = build_nonconservative_system(self.space, self.model, self.vm,
-                                           "standard")
+        std = NonconservativeSystem(self.space, self.model, self.vm)
         v0 = std.project(v_const)
         r = std.residual(np.zeros_like(v0), v0, 0.0)
         assert np.max(np.abs(r)) <= 1e-13
-        mod = build_nonconservative_system(self.space, self.model, self.vm,
-                                           "modified")
+        mod = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
         state = StatePair(v0, np.zeros_like(v0), 0.0)
-        out = step_modified(mod, state, 1e-3, params)
+        out = step(mod, state, 1e-3, params)
         assert np.max(np.abs(out.u - v0)) <= 1e-12
 
     def test_standard_iteration_matrix_matches_fd(self):
-        system = build_nonconservative_system(self.space, self.model, self.vm,
-                                              "standard")
+        system = NonconservativeSystem(self.space, self.model, self.vm)
         v = system.project(ic_primitive)
         v_dot = 0.1 * RNG.normal(size=v.size)
         d = RNG.normal(size=v.size)
@@ -273,12 +270,11 @@ class TestNonconservative:
         fd = (system.residual(v_dot + eps * c_dot * d, v + eps * c_u * d, 0.0)
               - system.residual(v_dot - eps * c_dot * d, v - eps * c_u * d, 0.0)
               ) / (2 * eps)
-        action = system.iteration_matrix_action(c_dot, c_u, v_dot, v, 0.0, d)
+        action = system.iteration_matrix(c_dot, c_u, v_dot, v, 0.0) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
     def test_modified_jacobian_matches_fd(self):
-        system = build_nonconservative_system(self.space, self.model, self.vm,
-                                              "modified")
+        system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
         params = params_from_rho_inf(0.5)
         v0 = system.project(ic_primitive)
         vd0 = 0.1 * RNG.normal(size=v0.size)
@@ -295,8 +291,7 @@ class TestNonconservative:
     def test_alpha_f_half_reduces_to_plain_difference_quotient(self):
         # at alpha_f = 1/2 the shift vanishes: temporal term is
         # (U(V_{n+1}) - U(V_n))/dt tested against W
-        system = build_nonconservative_system(self.space, self.model, self.vm,
-                                              "modified")
+        system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
         params = params_from_rho_inf(1.0)  # alpha_f = gamma = 1/2
         v0 = system.project(ic_primitive)
         vd0 = 0.05 * RNG.normal(size=v0.size)
@@ -327,47 +322,37 @@ class TestNonconservative:
         assert np.max(np.abs(res - expected.reshape(-1))) <= 1e-13
 
     def test_modified_refuses_non_second_order(self):
-        system = build_nonconservative_system(self.space, self.model, self.vm,
-                                              "modified")
+        system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
         from genalpha import make_params
         bad = make_params(0.5, 0.5, 1.0)
         v0 = system.project(lambda x: np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            step_modified(system, StatePair(v0, np.zeros_like(v0), 0.0), 1e-3, bad)
+            step(system, StatePair(v0, np.zeros_like(v0), 0.0), 1e-3, bad)
 
     def test_run_modified_refuses_nonuniform_dt(self):
-        system = build_nonconservative_system(self.space, self.model, self.vm,
-                                              "modified")
+        system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
         v0 = system.project(lambda x: np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            run_modified(system, StatePair(v0, np.zeros_like(v0), 0.0),
-                         [1e-3, 2e-3], params_from_rho_inf(0.5))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_nonconservative_system(self.space, self.model, self.vm, "wild")
+            integrate(system, StatePair(v0, np.zeros_like(v0), 0.0),
+                      [1e-3, 2e-3], params_from_rho_inf(0.5))
 
 
 class TestDriftComparison:
-    def _run(self, mode, ic, n_steps, dt):
+    def _run(self, system_class, ic, n_steps, dt):
         space = PeriodicFemSpace(32)
-        vm = pressure_primitive_map(GAS, 1.0)
-        system = build_nonconservative_system(space, Euler1D(GAS), vm, mode)
-        init = build_nonconservative_system(space, Euler1D(GAS), vm, "standard")
+        vm = PressurePrimitiveMap(GAS, 1.0)
+        system = system_class(space, Euler1D(GAS), vm)
+        init = NonconservativeSystem(space, Euler1D(GAS), vm)
         v0 = system.project(ic)
         params = params_from_rho_inf(0.5)
         state = StatePair(v0, consistent_initial_rate(init, v0, 0.0), 0.0)
         ledger = BalanceLedger()
-        for _ in range(n_steps):
-            nxt = (step_modified(system, state, dt, params) if mode == "modified"
-                   else step(system, state, dt, params))
-            ledger.record_step(system, state, nxt, params, dt)
-            state = nxt
+        integrate(system, state, [dt] * n_steps, params, ledger=ledger)
         return ledger
 
     def test_standard_drifts_modified_does_not(self):
-        std = self._run("standard", ic_primitive, 20, 2e-3)
-        mod = self._run("modified", ic_primitive, 20, 2e-3)
+        std = self._run(NonconservativeSystem, ic_primitive, 20, 2e-3)
+        mod = self._run(ModifiedNonconservativeSystem, ic_primitive, 20, 2e-3)
         assert np.max(np.abs(std.drift())) > 1e-10
         assert not std.certified
         assert np.max(np.abs(mod.drift())) <= 1e-12
@@ -382,7 +367,7 @@ class TestDriftComparison:
             rho = 1.0 + 0.1 * np.sin(2 * np.pi * x)
             return np.array([1.0, 0.1, 1.0 / rho])
 
-        std = self._run("standard", contact, 20, 1e-3)
+        std = self._run(NonconservativeSystem, contact, 20, 1e-3)
         assert np.max(np.abs(std.drift())) <= 1e-12
 
 
@@ -590,21 +575,19 @@ class GradientSourceBurgers(Burgers1D):
 
 ORACLE_CASES = {
     "burgers-viscous-source": (
-        lambda space: build_conslaw_system(
+        lambda space: ConservedSystem(
             space, Burgers1D(kappa_visc=0.05, s=_burgers_source)), "conserved"),
     "burgers-gradient-source": (
-        lambda space: build_conslaw_system(space, GradientSourceBurgers(0.05)),
+        lambda space: ConservedSystem(space, GradientSourceBurgers(0.05)),
         "conserved"),
-    "euler": (lambda space: build_conslaw_system(space, Euler1D(GAS)),
+    "euler": (lambda space: ConservedSystem(space, Euler1D(GAS)),
               "conserved"),
-    "euler-supg": (lambda space: build_conslaw_system(space, Euler1D(GAS),
-                                                      "supg-like"), "conserved"),
-    "primitive-standard": (lambda space: build_nonconservative_system(
-        space, Euler1D(GAS), pressure_primitive_map(GAS, 1.0), "standard"),
-        "primitive"),
-    "primitive-modified": (lambda space: build_nonconservative_system(
-        space, Euler1D(GAS), pressure_primitive_map(GAS, 1.0), "modified"),
-        "primitive"),
+    "euler-supg": (lambda space: ConservedSystem(space, Euler1D(GAS),
+                                                 "supg-like"), "conserved"),
+    "primitive-standard": (lambda space: NonconservativeSystem(
+        space, Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0)), "primitive"),
+    "primitive-modified": (lambda space: ModifiedNonconservativeSystem(
+        space, Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0)), "primitive"),
 }
 
 
@@ -666,8 +649,8 @@ class TestBatchedKernelsMatchLoopOracle:
     def test_burgers_source_enters_residual_and_balance(self):
         # guards the oracle comparison above against a source that is ignored
         space = PeriodicFemSpace(16)
-        plain = build_conslaw_system(space, Burgers1D(kappa_visc=0.05))
-        forced = build_conslaw_system(
+        plain = ConservedSystem(space, Burgers1D(kappa_visc=0.05))
+        forced = ConservedSystem(
             space, Burgers1D(kappa_visc=0.05, s=_burgers_source))
         u = np.zeros(16)
         assert forced.balance_source(u, 0.0)[0] == pytest.approx(0.25, abs=1e-14)
@@ -705,7 +688,7 @@ class TestBatchedAdmissibility:
             assert bad.tolist() == [[self.K, 0]]
 
     def test_conserved_residual(self):
-        system = build_conslaw_system(PeriodicFemSpace(self.N), Euler1D(GAS))
+        system = ConservedSystem(PeriodicFemSpace(self.N), Euler1D(GAS))
         u = _one_bad_element("conserved", self.N, self.K)
         zero = np.zeros_like(u)
         self._expect_same_error(
@@ -713,9 +696,8 @@ class TestBatchedAdmissibility:
             lambda: LoopOracle(system).conserved_residual(zero, u, 0.0), system)
 
     def test_standard_iteration_matrix(self):
-        system = build_nonconservative_system(
-            PeriodicFemSpace(self.N), Euler1D(GAS), pressure_primitive_map(GAS, 1.0),
-            "standard")
+        system = NonconservativeSystem(
+            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
         v = _one_bad_element("primitive", self.N, self.K)
         zero = np.zeros_like(v)
         self._expect_same_error(
@@ -724,9 +706,8 @@ class TestBatchedAdmissibility:
             system)
 
     def test_modified_step_residual(self):
-        system = build_nonconservative_system(
-            PeriodicFemSpace(self.N), Euler1D(GAS), pressure_primitive_map(GAS, 1.0),
-            "modified")
+        system = ModifiedNonconservativeSystem(
+            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
         v = _one_bad_element("primitive", self.N, self.K)
         # V_n, V_{n+1} and V_{n+af} differ, so the message shows which
         # of them the first bad point names

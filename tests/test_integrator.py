@@ -116,21 +116,35 @@ class TestStep:
                  params_from_rho_inf(0.5), NewtonSettings(max_iters=2))
         assert len(info.value.residual_norms) >= 2
 
-    def test_matrix_free_fallback(self):
-        # a system offering only iteration_matrix_action still steps correctly
-        class ActionOnly:
-            def dimension(self):
-                return 1
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_rejects_nonfinite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step(ScalarLinear(-1.0), StatePair([1.0], [-1.0], 0.0), dt,
+                 params_from_rho_inf(0.5))
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step_second_order(HarmonicOscillator(),
+                              SecondOrderState([1.0], [0.0], [-1.0], 0.0), dt,
+                              params_from_rho_inf(0.5))
+        with pytest.raises(ValueError, match="dt must be finite"):
+            shifted_state(StatePair([1.0], [0.0], 0.0), dt, 0.6)
+
+    def test_newton_stops_at_first_nonfinite_residual(self):
+        # the residual turns NaN after the first Newton update
+        class TurnsNaN(ScalarLinear):
+            evaluations = 0
 
             def residual(self, u_dot, u, t):
-                return u_dot + u
+                self.evaluations += 1
+                r = super().residual(u_dot, u, t)
+                return r if self.evaluations == 1 else r * np.nan
 
-            def iteration_matrix_action(self, c_dot, c_u, u_dot, u, t, d):
-                return (c_dot + c_u) * d
-
-        out = step(ActionOnly(), StatePair([1.0], [-1.0], 0.0), 0.1,
-                   params_from_rho_inf(1.0))
-        assert out.u[0] == pytest.approx((1 - 0.05) / (1 + 0.05), rel=1e-13)
+        system = TurnsNaN(-1.0)
+        with pytest.raises(NewtonConvergenceError, match="iteration 1") as info:
+            step(system, StatePair([1.0], [-1.0], 0.0), 0.1,
+                 params_from_rho_inf(0.5), NewtonSettings(max_iters=30))
+        assert system.evaluations == 2
+        assert len(info.value.residual_norms) == 2
+        assert np.isnan(info.value.residual_norms[-1])
 
 
 class TestShiftedState:
@@ -218,15 +232,14 @@ class TestMidpointEquivalence:
     def _midpoint_step(system, state, dt):
         # independent implicit-midpoint oracle: Newton in u_{n+1} on
         # R((u1-u0)/dt, (u0+u1)/2, t + dt/2) = 0
-        from genalpha.integrator import dense_iteration_matrix
         u0, t_mid = state.u, state.t + 0.5 * dt
         u1 = np.array(u0, copy=True)
         for _ in range(50):
             r = system.residual((u1 - u0) / dt, 0.5 * (u0 + u1), t_mid)
             if np.linalg.norm(r, np.inf) <= 1e-14:
                 break
-            j = dense_iteration_matrix(system, 1.0 / dt, 0.5, (u1 - u0) / dt,
-                                       0.5 * (u0 + u1), t_mid)
+            j = system.iteration_matrix(1.0 / dt, 0.5, (u1 - u0) / dt,
+                                        0.5 * (u0 + u1), t_mid)
             u1 = u1 - np.linalg.solve(j, r)
         return u1
 
