@@ -5,7 +5,8 @@ both endpoints and the advective outflow term on the a*n >= 0 part of the
 boundary.  Continuous piecewise-linear elements on a uniform mesh, 2-point
 Gauss quadrature for every integral (residual, loads, projections, and
 totals all share the rule, so the discrete balance law is an identity of
-the assembled operators).
+the assembled operators).  The operators are tridiagonal and stored as
+`Tridiagonal`, so a step costs O(m) with no dense m×m array.
 """
 
 from __future__ import annotations
@@ -94,6 +95,111 @@ def element_advection(dx: float, a: float) -> np.ndarray:
     return c
 
 
+class Tridiagonal:
+    """m×m tridiagonal matrix stored as its three diagonals.
+
+    `data` is (3, m) in LAPACK's band layout: `data[0, 1:]` holds the
+    superdiagonal A[i, i+1], `data[1]` the diagonal and `data[2, :-1]` the
+    subdiagonal A[i+1, i]; `data[0, 0]` and `data[2, -1]` are unused zeros.
+    `data` and `nnz` carry scipy.sparse's names, so code that sizes a sparse
+    matrix from them sees 3m floats, not m^2.  `np.asarray` densifies.
+    """
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=float)
+        self.m = self.data.shape[1]
+        self.nnz = 3 * self.m - 2
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape != (self.m,):
+            raise ValueError(f"expected a vector of length {self.m}, got shape "
+                             f"{x.shape}")
+        sup, diag, sub = self.data
+        y = diag * x
+        y[:-1] += sup[1:] * x[1:]
+        y[1:] += sub[:-1] * x[:-1]
+        return y
+
+    def __array__(self, dtype=None, copy=None):
+        sup, diag, sub = self.data
+        dense = np.diag(diag) + np.diag(sup[1:], 1) + np.diag(sub[:-1], -1)
+        return dense if dtype is None else dense.astype(dtype)
+
+    def solve(self, b) -> np.ndarray:
+        """x with A x = b, by LU with partial pivoting in O(m).
+
+        A port of LAPACK's dgttrf (factor) and dgttrs (solve): at each
+        column the row with the larger of the diagonal and subdiagonal
+        entry is the pivot row, which is the choice `np.linalg.solve` makes
+        on a tridiagonal matrix.  A row swap fills a second superdiagonal.
+        Raises `numpy.linalg.LinAlgError` on an exactly zero pivot.
+        """
+        b = np.asarray(b)
+        if b.shape != (self.m,):
+            raise ValueError(f"expected a right-hand side of length {self.m}, "
+                             f"got shape {b.shape}")
+        m = self.m
+        sup, diag, sub = self.data
+        d, du, dl = diag.tolist(), sup[1:].tolist(), sub[:-1].tolist()
+        du2 = [0.0] * m
+        swapped = [False] * m
+        for i in range(m - 1):
+            if not abs(d[i]) < abs(dl[i]):      # keep row i (also when nan)
+                if d[i] != 0.0:
+                    dl[i] /= d[i]
+                    d[i + 1] -= dl[i] * du[i]
+            else:                               # swap rows i and i+1
+                fact = d[i] / dl[i]
+                d[i], dl[i] = dl[i], fact
+                du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
+                if i < m - 2:
+                    du2[i] = du[i + 1]
+                    du[i + 1] = -fact * du[i + 1]
+                swapped[i] = True
+        if 0.0 in d:
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        x = b.tolist()
+        for i in range(m - 1):                  # L y = P b
+            if swapped[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
+            else:
+                x[i + 1] -= dl[i] * x[i]
+        x[m - 1] /= d[m - 1]                    # U x = y
+        if m > 1:
+            x[m - 2] = (x[m - 2] - du[m - 2] * x[m - 1]) / d[m - 2]
+        for i in range(m - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+        return np.array(x)
+
+
+def _assemble(element: np.ndarray, m: int) -> Tridiagonal:
+    """Sum one 2×2 element matrix over the m - 1 elements of a uniform mesh."""
+    data = np.zeros((3, m))
+    data[0, 1:] = element[0, 1]
+    data[1, :-1] += element[0, 0]
+    data[1, 1:] += element[1, 1]
+    data[2, :-1] = element[1, 0]
+    return Tridiagonal(data)
+
+
+def _load(dx: float, values_q: np.ndarray, tau: float = 0.0,
+          a: float = 0.0) -> np.ndarray:
+    """Assembled int(g phi_i) + tau*int(a g phi_i') from g at the (n_el, 2)
+    quadrature points."""
+    out = np.zeros(len(values_q) + 1)
+    for q, (xi, w) in enumerate(zip(_QP, _QW)):
+        contrib = dx * w * values_q[:, q]
+        out[:-1] += contrib * (1.0 - xi)
+        out[1:] += contrib * xi
+        if tau != 0.0:
+            supg = w * tau * a * values_q[:, q]   # dx * (±1/dx) cancels
+            out[:-1] -= supg
+            out[1:] += supg
+    return out
+
+
 class AdvDiffSystem:
     """Assembled residual system R(u̇, u, t) for the advection-diffusion problem.
 
@@ -119,12 +225,9 @@ class AdvDiffSystem:
         self.x_quad = (mesh.nodes[:-1, None]
                        + mesh.dx * np.asarray(_QP)[None, :])  # (n_el, 2)
 
-        n, dx, a, kappa = mesh.n_elements, mesh.dx, config.a, config.kappa
-        mass = np.zeros((self.m, self.m))
-        mass_supg = np.zeros((self.m, self.m))
-        stiff = np.zeros((self.m, self.m))
+        dx, a = mesh.dx, config.a
         m_el = element_mass(dx)
-        k_el = element_stiffness(dx, kappa)
+        k_el = element_stiffness(dx, config.kappa)
         flux_el = -element_advection(dx, a).T    # weak term -int(a u phi_i')
         dphi = np.array([-1.0 / dx, 1.0 / dx])
         supg_mass_el = np.zeros((2, 2))          # tau * int(a phi_i' phi_j)
@@ -133,20 +236,18 @@ class AdvDiffSystem:
             phi = np.array([1.0 - xi, xi])
             supg_mass_el += dx * w * self.tau * a * np.outer(dphi, phi)
             supg_adv_el += dx * w * self.tau * a * a * np.outer(dphi, dphi)
-        for e in range(n):
-            sl = slice(e, e + 2)
-            mass[sl, sl] += m_el
-            mass_supg[sl, sl] += supg_mass_el
-            stiff[sl, sl] += k_el + flux_el + supg_adv_el
+        mass = _assemble(m_el, self.m)
+        mass_supg = _assemble(supg_mass_el, self.m)
+        stiff = _assemble(k_el + flux_el + supg_adv_el, self.m)
 
         # outflow boundary term (a*n >= 0 convention); n = -1 at x=0, +1 at x=1
         self._outflow_points = [(i, nrm) for i, nrm in ((0, -1.0), (self.m - 1, 1.0))
                                 if a * nrm >= 0.0]
         for i, nrm in self._outflow_points:
-            stiff[i, i] += a * nrm
+            stiff.data[1, i] += a * nrm
 
         self.mass = mass                  # plain Galerkin mass, used by totals
-        self.mass_dot = mass + mass_supg  # multiplies u̇ in the residual
+        self.mass_dot = Tridiagonal(mass.data + mass_supg.data)  # multiplies u̇
         self.stiffness = stiff
 
     def dimension(self) -> int:
@@ -154,18 +255,8 @@ class AdvDiffSystem:
 
     def load_vector(self, t: float) -> np.ndarray:
         """Body force, boundary flux, and SUPG load at time t."""
-        out = np.zeros(self.m)
-        dx, a = self.mesh.dx, self.config.a
         f_q = np.asarray(self.f(self.x_quad, t), dtype=float)
-        for q, (xi, w) in enumerate(zip(_QP, _QW)):
-            phi = np.array([1.0 - xi, xi])
-            contrib = dx * w * f_q[:, q]
-            np.add.at(out, np.arange(self.mesh.n_elements), contrib * phi[0])
-            np.add.at(out, np.arange(1, self.m), contrib * phi[1])
-            if self.tau != 0.0:
-                supg = w * self.tau * a * f_q[:, q]   # dx * (±1/dx) cancels
-                np.add.at(out, np.arange(self.mesh.n_elements), -supg)
-                np.add.at(out, np.arange(1, self.m), supg)
+        out = _load(self.mesh.dx, f_q, self.tau, self.config.a)
         out[0] += self.h_in(t)
         out[-1] += self.h_out(t)
         return out
@@ -174,7 +265,7 @@ class AdvDiffSystem:
         return self.mass_dot @ u_dot + self.stiffness @ u - self.load_vector(t)
 
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
-        return c_dot * self.mass_dot + c_u * self.stiffness
+        return Tridiagonal(c_dot * self.mass_dot.data + c_u * self.stiffness.data)
 
     # -- balance-law audit surface -------------------------------------------
 
@@ -200,19 +291,9 @@ class AdvDiffSystem:
 
 def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
     """L2 projection of u0 onto the linear nodal basis (quadrature-consistent)."""
-    m = mesh.n_elements + 1
-    mass = np.zeros((m, m))
-    rhs = np.zeros(m)
-    m_el = element_mass(mesh.dx)
     x_quad = mesh.nodes[:-1, None] + mesh.dx * np.asarray(_QP)[None, :]
-    u0_q = np.asarray(u0(x_quad), dtype=float)
-    for e in range(mesh.n_elements):
-        sl = slice(e, e + 2)
-        mass[sl, sl] += m_el
-        for q, (xi, w) in enumerate(zip(_QP, _QW)):
-            phi = np.array([1.0 - xi, xi])
-            rhs[sl] += mesh.dx * w * u0_q[e, q] * phi
-    return np.linalg.solve(mass, rhs)
+    rhs = _load(mesh.dx, np.asarray(u0(x_quad), dtype=float))
+    return _assemble(element_mass(mesh.dx), mesh.n_elements + 1).solve(rhs)
 
 
 def outflow_flux(system: AdvDiffSystem, u, t: float = 0.0) -> float:

@@ -196,7 +196,7 @@ def parse_config(text: str) -> ExperimentConfig:
     dt_list = got(("integrator", "dt_list"))
     if name == "ode-convergence" and dt_list is None and not dt_forms:
         dt_list = _DEFAULT_DT_LIST
-    if dt_list is not None and list(dt_list) != sorted(dt_list, reverse=True):
+    if dt_list is not None and not all(x > y for x, y in zip(dt_list, dt_list[1:])):
         raise ConfigurationError(
             f"line {line_of(('integrator', 'dt_list'))}: dt_list must be "
             f"strictly decreasing")
@@ -221,9 +221,13 @@ def parse_config(text: str) -> ExperimentConfig:
             f"line {line_of(('integrator', 't_final'))}: t_final must be > 0")
 
     kappa = _or(got(("spatial", "kappa")), 0.01)
-    if name == "advdiff-balance" and not kappa > 0.0:
+    if name == "advdiff-balance" and not (math.isfinite(kappa) and kappa > 0.0):
         raise ConfigurationError(
-            f"line {line_of(('spatial', 'kappa'))}: kappa must be > 0")
+            f"line {line_of(('spatial', 'kappa'))}: kappa must be finite and > 0")
+    a = _or(got(("spatial", "a")), 1.0)
+    if name == "advdiff-balance" and not math.isfinite(a):
+        raise ConfigurationError(
+            f"line {line_of(('spatial', 'a'))}: a must be finite")
 
     # the Euler runs' initial density and pressure are 1 + amplitude*sin(...)
     amplitude = _or(got(("spatial", "amplitude")), 0.1)
@@ -233,6 +237,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(('spatial', 'amplitude'))}: |amplitude| must be "
             f"< 1 for Euler runs")
+    gamma_gas = _or(got(("spatial", "gamma_gas")), 1.4)
+    if euler and not (math.isfinite(gamma_gas) and gamma_gas > 1.0):
+        raise ConfigurationError(
+            f"line {line_of(('spatial', 'gamma_gas'))}: gamma_gas must be "
+            f"finite and > 1 for Euler runs")
 
     return ExperimentConfig(
         experiment=name,
@@ -248,9 +257,9 @@ def parse_config(text: str) -> ExperimentConfig:
         n_steps=n_steps,
         t_final=t_final,
         n_elements=n_elements,
-        a=_or(got(("spatial", "a")), 1.0),
+        a=a,
         kappa=kappa,
-        gamma_gas=_or(got(("spatial", "gamma_gas")), 1.4),
+        gamma_gas=gamma_gas,
         amplitude=amplitude,
         stabilization=stabilization,
         forcing=forcing,

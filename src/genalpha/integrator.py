@@ -142,7 +142,11 @@ class ResidualSystem(Protocol):
 
     def iteration_matrix(self, c_dot: float, c_u: float, u_dot: np.ndarray,
                          u: np.ndarray, t: float) -> np.ndarray:
-        """Dense c_dot*dR/dU̇ + c_u*dR/dU at (u_dot, u, t)."""
+        """c_dot*dR/dU̇ + c_u*dR/dU at (u_dot, u, t).
+
+        A dense ndarray, or an object with `@` (matrix-vector product) and
+        `solve(b)`, which Newton then calls in place of `np.linalg.solve`.
+        """
         ...
 
 
@@ -177,6 +181,11 @@ def _check_dt(dt) -> None:
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
+def _solve(matrix, b: np.ndarray) -> np.ndarray:
+    """`matrix.solve(b)` when the matrix provides one, else a dense LAPACK solve."""
+    return matrix.solve(b) if hasattr(matrix, "solve") else np.linalg.solve(matrix, b)
+
+
 def _newton(residual: Callable[[np.ndarray], np.ndarray],
             jacobian: Callable[[np.ndarray], np.ndarray],
             x0: np.ndarray, settings: NewtonSettings,
@@ -202,7 +211,7 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
             raise NewtonConvergenceError(
                 f"Newton failed to converge in {settings.max_iters} iterations; "
                 f"residual norms {norms}", norms)
-        x = x - np.linalg.solve(jacobian(x), r)
+        x = x - _solve(jacobian(x), r)   # frees J before the next one is built
         r = residual(x)
         norms.append(float(np.linalg.norm(r, np.inf)))
 

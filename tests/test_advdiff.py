@@ -1,13 +1,22 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genalpha
 from genalpha import (NewtonSettings, StatePair, consistent_initial_rate,
                       integrate, params_from_rho_inf)
-from genalpha.advdiff import (AdvDiffConfig, AdvDiffSystem, Mesh1D,
-                              element_advection, element_mass, element_stiffness,
-                              outflow_flux, project_initial, stabilization_form,
-                              supg_tau)
+from genalpha.advdiff import (_QP, _QW, AdvDiffConfig, AdvDiffSystem, Mesh1D,
+                              Tridiagonal, element_advection, element_mass,
+                              element_stiffness, outflow_flux, project_initial,
+                              stabilization_form, supg_tau)
+from genalpha.config import parse_config
+from genalpha.experiments import run_experiment
 
 RNG = np.random.default_rng(20260809)
 
@@ -212,8 +221,197 @@ class TestGenAlphaOnAdvDiff:
             out = outflow_flux(system, u_af)
             assert t_plus - t_minus == pytest.approx(-1e-3 * out, abs=1e-14)
 
+    def test_run_allocates_no_dense_matrix(self, tmp_path):
+        # one 1025×1025 float array takes 8.4 MB; the tridiagonal run is O(m)
+        config = parse_config("[experiment]\nname = advdiff-balance\n"
+                              "[integrator]\nn_steps = 3\n[spatial]\n"
+                              "n_elements = 1024\nstabilization = supg\n")
+        tracemalloc.start()
+        try:
+            assert run_experiment(config, tmp_path, quiet=True) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdvDiffConfig(kappa=0.0)
         with pytest.raises(ValueError):
             AdvDiffConfig(stabilization="glitter")
+
+
+class LoopOracle:
+    """The per-element dense assembly that the tridiagonal operators replaced.
+
+    Test-only reference: every element matrix is added into a dense m×m
+    array as the loop over elements meets it, and the projection is a dense
+    `np.linalg.solve`.
+    """
+
+    def __init__(self, system):
+        m, dx, a, tau = system.m, system.mesh.dx, system.config.a, system.tau
+        mass = np.zeros((m, m))
+        mass_supg = np.zeros((m, m))
+        stiff = np.zeros((m, m))
+        m_el = element_mass(dx)
+        k_el = element_stiffness(dx, system.config.kappa)
+        flux_el = -element_advection(dx, a).T
+        dphi = np.array([-1.0 / dx, 1.0 / dx])
+        supg_mass_el = np.zeros((2, 2))
+        supg_adv_el = np.zeros((2, 2))
+        for xi, w in zip(_QP, _QW):
+            phi = np.array([1.0 - xi, xi])
+            supg_mass_el += dx * w * tau * a * np.outer(dphi, phi)
+            supg_adv_el += dx * w * tau * a * a * np.outer(dphi, dphi)
+        for e in range(system.mesh.n_elements):
+            sl = slice(e, e + 2)
+            mass[sl, sl] += m_el
+            mass_supg[sl, sl] += supg_mass_el
+            stiff[sl, sl] += k_el + flux_el + supg_adv_el
+        for i, nrm in ((0, -1.0), (m - 1, 1.0)):
+            if a * nrm >= 0.0:
+                stiff[i, i] += a * nrm
+        self.mass, self.mass_dot, self.stiffness = mass, mass + mass_supg, stiff
+
+    def iteration_matrix(self, c_dot, c_u):
+        return c_dot * self.mass_dot + c_u * self.stiffness
+
+    @staticmethod
+    def project_initial(mesh, u0):
+        m = mesh.n_elements + 1
+        mass = np.zeros((m, m))
+        rhs = np.zeros(m)
+        m_el = element_mass(mesh.dx)
+        x_quad = mesh.nodes[:-1, None] + mesh.dx * np.asarray(_QP)[None, :]
+        u0_q = np.asarray(u0(x_quad), dtype=float)
+        for e in range(mesh.n_elements):
+            sl = slice(e, e + 2)
+            mass[sl, sl] += m_el
+            for q, (xi, w) in enumerate(zip(_QP, _QW)):
+                phi = np.array([1.0 - xi, xi])
+                rhs[sl] += mesh.dx * w * u0_q[e, q] * phi
+        return np.linalg.solve(mass, rhs)
+
+
+def assert_close(value, oracle, tol):
+    value = np.asarray(value)
+    assert value.shape == oracle.shape
+    scale = max(1.0, np.max(np.abs(oracle)))
+    assert np.max(np.abs(value - oracle)) <= tol * scale
+
+
+class TestOperatorsMatchLoopOracle:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("stabilization", ["none", "supg"])
+    @pytest.mark.parametrize("a", [-0.7, 0.0, 1.3])   # outflow at x=0, none, x=1
+    def test_assembled_operators(self, n, stabilization, a):
+        config = AdvDiffConfig(a=a, kappa=0.05, stabilization=stabilization)
+        system = AdvDiffSystem(Mesh1D(n), config, dt=0.01)
+        oracle = LoopOracle(system)
+        for name in ("mass", "mass_dot", "stiffness"):
+            assert isinstance(getattr(system, name), Tridiagonal)
+            assert_close(getattr(system, name), getattr(oracle, name), 1e-15)
+        u = RNG.normal(size=system.m)
+        assert_close(system.iteration_matrix(0.8, 0.15, u, u, 0.3),
+                     oracle.iteration_matrix(0.8, 0.15), 1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("u0", [bump, np.cos, lambda x: x ** 3 - x],
+                             ids=["bump", "cos", "cubic"])
+    def test_project_initial(self, n, u0):
+        mesh = Mesh1D(n)
+        assert_close(project_initial(mesh, u0),
+                     LoopOracle.project_initial(mesh, u0), 1e-13)
+
+
+def random_tridiagonal(m, kind, rng):
+    """Random nonsymmetric tridiagonal matrix of one of `SOLVE_KINDS`.
+
+    "zero-diagonal" forces a row swap at least at every other column, and is
+    exactly singular for odd m.  "swap-every-column" has |sub| > 1 >= |diag|
+    and a tiny superdiagonal, so the row carried down by each swap stays
+    below 1 in magnitude and the subdiagonal entry is the pivot at every
+    column, while the matrix stays well conditioned.
+    """
+    data = rng.normal(size=(3, m))
+    if kind == "zero-diagonal":
+        data[1] = 0.0
+    elif kind == "swap-every-column":
+        data[0] = 1e-3 * rng.uniform(-1.0, 1.0, m)
+        data[1] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.999, 1.0, m)
+        data[2] = rng.choice([-1.0, 1.0], m) * rng.uniform(1.001, 1.002, m)
+    data[0, 0] = data[2, -1] = 0.0
+    return Tridiagonal(data)
+
+
+SOLVE_SIZES = [2, 3, 4, 7, 64, 1025]
+SOLVE_KINDS = ["random", "zero-diagonal", "swap-every-column"]
+
+
+class TestTridiagonal:
+    def test_dense_layout(self):
+        a = Tridiagonal([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 0.0]])
+        assert np.array_equal(np.asarray(a), [[3.0, 1.0, 0.0],
+                                              [6.0, 4.0, 2.0],
+                                              [0.0, 7.0, 5.0]])
+        assert a.nnz == 7
+
+    @pytest.mark.parametrize("m", SOLVE_SIZES)
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_matvec_matches_dense(self, m, kind):
+        rng = np.random.default_rng(m)
+        a = random_tridiagonal(m, kind, rng)
+        dense, x = np.asarray(a), rng.normal(size=m)
+        bound = 4.5e-16 * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(a @ x - dense @ x) <= bound)
+        with pytest.raises(ValueError):
+            a @ np.ones((m, 1))
+
+    @pytest.mark.parametrize("m", SOLVE_SIZES)
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_solve_is_backward_stable_and_matches_numpy(self, m, kind):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(5):
+            a = random_tridiagonal(m, kind, rng)
+            dense, b = np.asarray(a), rng.normal(size=m)
+            if kind == "zero-diagonal" and m % 2:
+                continue                       # singular: see the test below
+            x = a.solve(b)
+            backward = np.max(np.abs(dense @ x - b)) / (
+                np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(x))
+                + np.max(np.abs(b)))
+            assert backward <= 1e-14
+            expected = np.linalg.solve(dense, b)
+            cond = np.linalg.cond(dense, np.inf)
+            assert (np.max(np.abs(x - expected))
+                    <= 4.0 * cond * np.finfo(float).eps * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("case", ["zero-diagonal-odd", "zero-row",
+                                      "zero-column", "zero"])
+    @pytest.mark.parametrize("m", [3, 7, 1025])
+    def test_singular_raises_like_numpy(self, case, m):
+        rng = np.random.default_rng(200 + m)
+        a = random_tridiagonal(m, "zero-diagonal" if case == "zero-diagonal-odd"
+                               else "random", rng)
+        k = m // 2
+        if case == "zero-row":
+            a.data[2, k - 1] = a.data[1, k] = a.data[0, k + 1] = 0.0
+        elif case == "zero-column":
+            a.data[:, k] = 0.0
+        elif case == "zero":
+            a.data[:] = 0.0
+        b = rng.normal(size=m)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.asarray(a), b)
+        with pytest.raises(np.linalg.LinAlgError):
+            a.solve(b)
+
+
+def test_package_imports_no_scipy():
+    # a fresh interpreter's start-up is part of every run's cost
+    code = ("import genalpha, genalpha.advdiff, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    src = str(Path(genalpha.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

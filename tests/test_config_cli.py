@@ -125,6 +125,16 @@ OUT_OF_RANGE_CONFIGS = {
                    "[spatial]\nkappa = 0\n", 4),
     "euler-amplitude": ("[experiment]\nname = conslaw-balance\nmodel = euler\n"
                         "[spatial]\namplitude = 5\n", 5),
+    "kappa-inf": ("[experiment]\nname = advdiff-balance\n"
+                  "[spatial]\nkappa = inf\n", 4),
+    "a-nan": ("[experiment]\nname = advdiff-balance\n[spatial]\na = nan\n", 4),
+    "a-inf": ("[experiment]\nname = advdiff-balance\n[spatial]\na = inf\n", 4),
+    "euler-gamma_gas": ("[experiment]\nname = conslaw-balance\nmodel = euler\n"
+                        "[spatial]\ngamma_gas = 1.0\n", 5),
+    "compare-gamma_gas": ("[experiment]\nname = nonconservative-compare\n"
+                          "[spatial]\ngamma_gas = 0.5\n", 4),
+    "dt_list-repeated": ("[experiment]\nname = ode-convergence\n[integrator]\n"
+                         "dt_list = 0.1,0.1,0.05,0.025\n", 4),
 }
 
 
