@@ -11,6 +11,7 @@ the assembled operators).  The operators are tridiagonal and stored as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,8 +56,10 @@ class AdvDiffConfig:
     stabilization: str = "none"
 
     def __post_init__(self):
-        if not (self.kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a}")
         if self.stabilization not in ("none", "supg"):
             raise ValueError(f"unknown stabilization {self.stabilization!r}")
 

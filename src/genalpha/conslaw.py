@@ -21,6 +21,7 @@ uses.  Every kernel works on all quadrature points at once: fields are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,8 +131,9 @@ class Burgers1D:
     p = 1
 
     def __init__(self, kappa_visc: float = 0.0, s: Callable | None = None):
-        if kappa_visc < 0.0:
-            raise ValueError("kappa_visc must be nonnegative")
+        if not (math.isfinite(kappa_visc) and kappa_visc >= 0.0):
+            raise ValueError(f"kappa_visc must be finite and nonnegative, "
+                             f"got {kappa_visc}")
         self.kappa_visc = kappa_visc
         self.s = s
 
@@ -160,8 +162,8 @@ class Euler1D:
     p = 3
 
     def __init__(self, gamma_gas: float = 1.4):
-        if gamma_gas <= 1.0:
-            raise ValueError("gamma_gas must exceed 1")
+        if not (math.isfinite(gamma_gas) and gamma_gas > 1.0):
+            raise ValueError(f"gamma_gas must be finite and exceed 1, got {gamma_gas}")
         self.gamma_gas = gamma_gas
 
     def pressure(self, u, x=None):
@@ -216,8 +218,10 @@ class PressurePrimitiveMap:
     p = 3
 
     def __init__(self, gamma_gas: float, r_gas: float):
-        if gamma_gas <= 1.0 or r_gas <= 0.0:
-            raise ValueError("require gamma_gas > 1 and r_gas > 0")
+        if not (math.isfinite(gamma_gas) and gamma_gas > 1.0):
+            raise ValueError(f"gamma_gas must be finite and exceed 1, got {gamma_gas}")
+        if not (math.isfinite(r_gas) and r_gas > 0.0):
+            raise ValueError(f"r_gas must be finite and positive, got {r_gas}")
         self.gamma_gas = gamma_gas
         self.r_gas = r_gas
 
@@ -383,8 +387,15 @@ def stabilization_form(system: ConservedSystem, v, w) -> float:
     return float(np.sum(system.space.integrate(system.stab * dv * dw)))
 
 
-class _NonconservativeBase(_PeriodicGalerkinBase):
-    """Common machinery for the V-variable discretizations of Euler-type models."""
+class NonconservativeSystem(_PeriodicGalerkinBase):
+    """Standard V-variable discretization: temporal term (dU/dV)(V_af) V̇_am.
+
+    A plain residual system for the generic stepper.  Its fully-discrete
+    conserved totals drift even for second-order parameters on a uniform
+    mesh; the audit records that drift.
+    """
+
+    admits_balance_law = False
 
     def __init__(self, space: PeriodicFemSpace, model, varmap):
         if model.p != varmap.p:
@@ -440,17 +451,6 @@ class _NonconservativeBase(_PeriodicGalerkinBase):
         return self.space.integrate(
             self.model.source(u, du, self.x_quad, t_alpha_f))
 
-
-class NonconservativeSystem(_NonconservativeBase):
-    """Standard V-variable discretization: temporal term (dU/dV)(V_af) V̇_am.
-
-    A plain residual system for the generic stepper.  Its fully-discrete
-    conserved totals drift even for second-order parameters on a uniform
-    mesh; the audit records that drift.
-    """
-
-    admits_balance_law = False
-
     def residual(self, v_dot, v, t):
         vals, derivs = _field_values(self.space, v, self.p)
         dot_vals, _ = _field_values(self.space, v_dot, self.p)
@@ -468,14 +468,16 @@ class NonconservativeSystem(_NonconservativeBase):
                                           c_u * df_val, c_u * df_der)
 
 
-class ModifiedNonconservativeSystem(_NonconservativeBase):
+class ModifiedNonconservativeSystem(NonconservativeSystem):
     """V-variable discretization with the conservative shifted-state temporal term.
 
     The temporal term is (Û+_{n+af+1/2} - Û-_{n+af-1/2})/dt tested against
     W, which requires the whole step context, so the system supplies the
     step residual and Jacobian that `step` solves.  The shifted-state
     quotient represents the rate only for second-order parameters, and the
-    shifted states chain only on a uniform time mesh.
+    shifted states chain only on a uniform time mesh.  The inherited
+    `residual` is the semi-discrete equation, which gives the consistent
+    initial rate; `step` uses the step residual instead.
     """
 
     admits_balance_law = True

@@ -30,9 +30,14 @@ _REL_DT_TOL = 1e-14  # relative spread below which a dt schedule is uniform
 def _as_vector(x) -> np.ndarray:
     """Coerce scalar-or-array input to a 1D float or complex vector."""
     arr = np.atleast_1d(np.asarray(x))
-    if not np.issubdtype(arr.dtype, np.complexfloating):
+    if arr.dtype.kind != "c":
         arr = arr.astype(float)
     return arr
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """`np.isfinite(x).all()`, counted rather than reduced, which is cheaper."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class StatePair:
         if self.u.shape != self.u_dot.shape:
             raise ValueError(f"u and u_dot dimensions differ: "
                              f"{self.u.shape} vs {self.u_dot.shape}")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.u_dot))):
+        if not (_all_finite(self.u) and _all_finite(self.u_dot)):
             raise ValueError("state entries must be finite")
 
 
@@ -121,7 +126,7 @@ class SecondOrderState:
         if not (self.u.shape == self.u_dot.shape == self.u_ddot.shape):
             raise ValueError("u, u_dot, u_ddot dimensions differ")
         for name in ("u", "u_dot", "u_ddot"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not _all_finite(getattr(self, name)):
                 raise ValueError("state entries must be finite")
 
 
@@ -134,6 +139,8 @@ class ResidualSystem(Protocol):
     unknown w = U̇_{n+1} instead, which `step` then solves.  It sets
     `requires_shifted_midpoint = True` if it holds only where the scheme is
     a shifted midpoint rule: second-order parameters on a uniform time mesh.
+    `residual` and `iteration_matrix` must not write into their array
+    arguments: at one Newton iterate, both are given the same arrays.
     """
 
     def dimension(self) -> int: ...
@@ -145,7 +152,10 @@ class ResidualSystem(Protocol):
         """c_dot*dR/dU̇ + c_u*dR/dU at (u_dot, u, t).
 
         A dense ndarray, or an object with `@` (matrix-vector product) and
-        `solve(b)`, which Newton then calls in place of `np.linalg.solve`.
+        `solve(b)`.  Newton solves with the matrix's own `solve(b)` when it
+        has one; a real 1x1 ndarray by division, which equals LAPACK's
+        result bit for bit; and anything else with `np.linalg.solve`.  A
+        singular matrix raises `np.linalg.LinAlgError` on every path.
         """
         ...
 
@@ -182,8 +192,37 @@ def _check_dt(dt) -> None:
 
 
 def _solve(matrix, b: np.ndarray) -> np.ndarray:
-    """`matrix.solve(b)` when the matrix provides one, else a dense LAPACK solve."""
-    return matrix.solve(b) if hasattr(matrix, "solve") else np.linalg.solve(matrix, b)
+    """`matrix.solve(b)` when the matrix provides one; a real 1x1 system by
+    division; else a dense LAPACK solve.
+
+    LAPACK solves a real 1x1 system by dividing by the pivot, so division
+    gives the same bits without LAPACK's call overhead.  A complex system
+    stays with LAPACK, whose complex division rounds differently.
+    """
+    if hasattr(matrix, "solve"):
+        return matrix.solve(b)
+    if (type(matrix) is np.ndarray and matrix.shape == (1, 1)
+            and matrix.dtype.kind == "f" and b.dtype.kind == "f"):
+        pivot = matrix[0, 0]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / pivot
+    return np.linalg.solve(matrix, b)
+
+
+def _reuse_last(blend: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
+    """`blend` that returns its last result again when given the same iterate.
+
+    Newton evaluates the residual and then the matrix at one iterate, so a
+    stepper's blend of each iterate is computed once for both.
+    """
+    last = [None, None]
+
+    def reused(x):
+        if x is not last[0]:
+            last[0], last[1] = x, blend(x)
+        return last[1]
+    return reused
 
 
 def _newton(residual: Callable[[np.ndarray], np.ndarray],
@@ -194,9 +233,9 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
 
     Stops at the first non-finite residual norm rather than iterating on it.
     """
-    x = np.array(x0, copy=True)
+    x = x0
     r = residual(x)
-    norms = [float(np.linalg.norm(r, np.inf))]
+    norms = [float(np.abs(r).max())]
     tol = settings.abs_tol
     if use_rel_tol:
         tol = max(tol, settings.rel_tol * norms[0])
@@ -213,7 +252,7 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 f"residual norms {norms}", norms)
         x = x - _solve(jacobian(x), r)   # frees J before the next one is built
         r = residual(x)
-        norms.append(float(np.linalg.norm(r, np.inf)))
+        norms.append(float(np.abs(r).max()))
 
 
 def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
@@ -258,6 +297,7 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     u_n, v_n = state_n.u, state_n.u_dot
     t_af = state_n.t + af * dt
     u_base = u_n + dt * (1.0 - g) * v_n
+    dt_g = dt * g
 
     if hasattr(system, "step_residual"):
         def res(v):
@@ -266,20 +306,23 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
         def jac(v):
             return system.step_jacobian(v, state_n, dt, params)
     else:
+        v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
+        c_u = af * g * dt
+
+        @_reuse_last
         def blend(v):
             """(U̇_{n+am}, U_{n+af}) implied by U̇_{n+1} = v."""
-            return ((1.0 - am) * v_n + am * v,
-                    (1.0 - af) * u_n + af * (u_base + dt * g * v))
+            return v_am0 + am * v, u_af0 + af * (u_base + dt_g * v)
 
         def res(v):
             return system.residual(*blend(v), t_af)
 
         def jac(v):
-            return system.iteration_matrix(am, af * g * dt, *blend(v), t_af)
+            return system.iteration_matrix(am, c_u, *blend(v), t_af)
 
     v0 = ((g - 1.0) / g) * v_n
     v_np1, _ = _newton(res, jac, v0, newton)
-    return StatePair(u_base + dt * g * v_np1, v_np1, state_n.t + dt)
+    return StatePair(u_base + dt_g * v_np1, v_np1, state_n.t + dt)
 
 
 def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
@@ -330,7 +373,7 @@ def midpoint_identity_residual(state_n: StatePair, state_np1: StatePair,
     v_am = (1.0 - am) * state_n.u_dot + am * state_np1.u_dot
     u_plus = shifted_state(state_np1, dt, af, "plus")
     u_minus = shifted_state(state_n, dt, af, "minus")
-    return float(np.linalg.norm(v_am - (u_plus - u_minus) / dt, np.inf))
+    return float(np.abs(v_am - (u_plus - u_minus) / dt).max())
 
 
 def consistent_initial_acceleration(system: SecondOrderResidualSystem, u0, v0,
@@ -344,7 +387,7 @@ def consistent_initial_acceleration(system: SecondOrderResidualSystem, u0, v0,
         return system.residual(a, v0, u0, t0)
 
     def jac(a):
-        return np.asarray(system.iteration_matrix(1.0, 0.0, 0.0, a, v0, u0, t0))
+        return system.iteration_matrix(1.0, 0.0, 0.0, a, v0, u0, t0)
 
     a, _ = _newton(res, jac, np.zeros_like(u0), newton, use_rel_tol=False)
     return a
@@ -370,26 +413,26 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
     t_af = state_n.t + af * dt
     u_base = u_n + dt * v_n + dt * dt * (0.5 - beta) * a_n
     v_base = v_n + dt * (1.0 - g) * a_n
+    dt_g, dt2_beta = dt * g, dt * dt * beta
+    a_am0, v_af0, u_af0 = (1.0 - am) * a_n, (1.0 - af) * v_n, (1.0 - af) * u_n
+    c_dot, c_u = af * g * dt, af * beta * dt * dt
 
+    @_reuse_last
     def parts(a):
-        a_am = (1.0 - am) * a_n + am * a
-        v_af = (1.0 - af) * v_n + af * (v_base + dt * g * a)
-        u_af = (1.0 - af) * u_n + af * (u_base + dt * dt * beta * a)
-        return a_am, v_af, u_af
+        """(Ü_{n+am}, U̇_{n+af}, U_{n+af}) implied by Ü_{n+1} = a."""
+        return (a_am0 + am * a, v_af0 + af * (v_base + dt_g * a),
+                u_af0 + af * (u_base + dt2_beta * a))
 
     def res(a):
-        a_am, v_af, u_af = parts(a)
-        return system.residual(a_am, v_af, u_af, t_af)
+        return system.residual(*parts(a), t_af)
 
     def jac(a):
-        a_am, v_af, u_af = parts(a)
-        return np.asarray(system.iteration_matrix(
-            am, af * g * dt, af * beta * dt * dt, a_am, v_af, u_af, t_af))
+        return system.iteration_matrix(am, c_dot, c_u, *parts(a), t_af)
 
     a0 = ((g - 1.0) / g) * a_n
     a_np1, _ = _newton(res, jac, a0, newton)
-    return SecondOrderState(u_base + dt * dt * beta * a_np1,
-                            v_base + dt * g * a_np1, a_np1, state_n.t + dt)
+    return SecondOrderState(u_base + dt2_beta * a_np1, v_base + dt_g * a_np1,
+                            a_np1, state_n.t + dt)
 
 
 def second_order_identity_residual(state_n: SecondOrderState,
@@ -398,9 +441,13 @@ def second_order_identity_residual(state_n: SecondOrderState,
     """Inf-norm defect of Ü_{n+am} = (U̇_{n+af+1/2} - U̇_{n+af-1/2})/dt.
 
     U̇_{n+af±1/2} := U̇ + (alpha_f - 1/2)*dt*Ü at the respective interval end.
+    States whose fields stack k steps as the rows of (k, m) arrays, with dt
+    a (k, 1) column, give the k defects as an array; each equals the defect
+    of its step's pair of states to the bit.
     """
     am, af = params.alpha_m, params.alpha_f
     a_am = (1.0 - am) * state_n.u_ddot + am * state_np1.u_ddot
     v_plus = state_np1.u_dot + (af - 0.5) * dt * state_np1.u_ddot
     v_minus = state_n.u_dot + (af - 0.5) * dt * state_n.u_ddot
-    return float(np.linalg.norm(a_am - (v_plus - v_minus) / dt, np.inf))
+    defect = np.abs(a_am - (v_plus - v_minus) / dt).max(axis=-1)
+    return float(defect) if defect.ndim == 0 else defect

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from genalpha import (AdmissibilityError, ConfigurationError, NewtonSettings,
                       StatePair, consistent_initial_rate, integrate,
                       params_from_rho_inf, step)
+from genalpha.advdiff import AdvDiffConfig
 from genalpha.audit import BalanceLedger
 from genalpha.conslaw import (_QP, _QW, Burgers1D, ConservedSystem, Euler1D,
                               ModifiedNonconservativeSystem,
@@ -47,6 +48,27 @@ class TestSpace:
             vals, derivs = _field_values(space, coeffs, 3)
             assert np.allclose(vals[:, :, j], 1.0, atol=1e-15)
             assert np.allclose(derivs, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: AdvDiffConfig(kappa=np.inf), "inf"),
+    (lambda: AdvDiffConfig(kappa=np.nan), "nan"),
+    (lambda: AdvDiffConfig(a=np.nan), "nan"),
+    (lambda: AdvDiffConfig(a=-np.inf), "-inf"),
+    (lambda: Euler1D(np.inf), "inf"),
+    (lambda: Euler1D(np.nan), "nan"),
+    (lambda: Burgers1D(np.nan), "nan"),
+    (lambda: Burgers1D(np.inf), "inf"),
+    (lambda: PressurePrimitiveMap(np.inf, 1.0), "inf"),
+    (lambda: PressurePrimitiveMap(GAS, np.nan), "nan"),
+    (lambda: PressurePrimitiveMap(np.inf, np.nan), "inf"),
+], ids=["advdiff-kappa-inf", "advdiff-kappa-nan", "advdiff-a-nan",
+        "advdiff-a-neg-inf", "euler-gamma-inf", "euler-gamma-nan",
+        "burgers-kappa-nan", "burgers-kappa-inf", "varmap-gamma-inf",
+        "varmap-r-nan", "varmap-both"])
+def test_constructors_reject_nonfinite_data(build, value):
+    with pytest.raises(ValueError, match=f"finite.*got {value}$"):
+        build()
 
 
 class TestModels:
@@ -260,6 +282,13 @@ class TestNonconservative:
         out = step(mod, state, 1e-3, params)
         assert np.max(np.abs(out.u - v0)) <= 1e-12
 
+    def test_modified_initial_rate_is_the_standard_rate(self):
+        std = NonconservativeSystem(self.space, self.model, self.vm)
+        mod = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
+        v0 = std.project(ic_primitive)
+        assert (consistent_initial_rate(mod, v0, 0.0).tobytes()
+                == consistent_initial_rate(std, v0, 0.0).tobytes())
+
     def test_standard_iteration_matrix_matches_fd(self):
         system = NonconservativeSystem(self.space, self.model, self.vm)
         v = system.project(ic_primitive)
@@ -342,10 +371,9 @@ class TestDriftComparison:
         space = PeriodicFemSpace(32)
         vm = PressurePrimitiveMap(GAS, 1.0)
         system = system_class(space, Euler1D(GAS), vm)
-        init = NonconservativeSystem(space, Euler1D(GAS), vm)
         v0 = system.project(ic)
         params = params_from_rho_inf(0.5)
-        state = StatePair(v0, consistent_initial_rate(init, v0, 0.0), 0.0)
+        state = StatePair(v0, consistent_initial_rate(system, v0, 0.0), 0.0)
         ledger = BalanceLedger()
         integrate(system, state, [dt] * n_steps, params, ledger=ledger)
         return ledger

@@ -8,6 +8,8 @@ from genalpha import (GenAlphaParams, NewtonConvergenceError, NewtonSettings,
                       midpoint_identity_residual, params_from_rho_inf,
                       second_order_identity_residual, shifted_state, step,
                       step_second_order)
+from genalpha.advdiff import Tridiagonal
+from genalpha.integrator import _solve
 from genalpha.odes import (GenericFirstOrder, HarmonicOscillator, PureDrift,
                            ScalarLinear, SecondOrderDrift)
 
@@ -63,6 +65,89 @@ class TestStatePair:
     def test_nonfinite(self):
         with pytest.raises(ValueError):
             StatePair([np.nan], [1.0], 0.0)
+
+
+FIELDS_OK = ([1.0, 2.0], [0.5, -0.5], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("make, n_fields", [
+    (lambda f: StatePair(f[0], f[1], 0.0), 2),
+    (lambda f: SecondOrderState(f[0], f[1], f[2], 0.0), 3),
+], ids=["StatePair", "SecondOrderState"])
+class TestStateGuarantees:
+    """The checks and the copy that the states keep on the stepper's hot path."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_in_each_field(self, make, n_fields, bad):
+        for i in range(n_fields):
+            fields = [list(f) for f in FIELDS_OK]
+            fields[i][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make(fields)
+
+    def test_rejects_shape_mismatch_in_each_field(self, make, n_fields):
+        for i in range(n_fields):
+            fields = list(FIELDS_OK)
+            fields[i] = [1.0, 2.0, 3.0]
+            with pytest.raises(ValueError, match="differ"):
+                make(fields)
+
+    def test_does_not_alias_caller_float_arrays(self, make, n_fields):
+        arrays = [np.array(f) for f in FIELDS_OK]
+        state = make(arrays)
+        for name, arr in zip(("u", "u_dot", "u_ddot"), arrays[:n_fields]):
+            assert getattr(state, name) is not arr
+            arr[0] = 99.0
+            assert getattr(state, name)[0] != 99.0
+
+    def test_coerces_to_float_and_keeps_complex(self, make, n_fields):
+        state = make([[1, 2], [3, 4], [5, 6]])
+        assert state.u.dtype == np.float64 and state.u_dot.dtype == np.float64
+        state = make([np.array([1j, 2.0])] * 3)
+        assert state.u.dtype == np.complex128
+
+
+class TestSolveDispatch:
+    def test_real_1x1_equals_lapack_bitwise(self):
+        rng = np.random.default_rng(20261018)
+        n = 20000
+        pivots = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        rhs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        for pivot, b in zip(pivots, rhs):
+            matrix, b = np.array([[pivot]]), np.array([b])
+            assert (_solve(matrix, b).tobytes()
+                    == np.linalg.solve(matrix, b).tobytes())
+
+    @pytest.mark.parametrize("pivot", [0.0, -0.0])
+    def test_zero_1x1_pivot_raises(self, pivot):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.array([[pivot]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("matrix, b", [
+        (np.array([[2.0 + 1.0j]]), np.array([1.0 - 3.0j])),
+        (np.array([[2.0]]), np.array([1.0 - 3.0j])),
+        (np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])),
+    ], ids=["complex-matrix", "complex-rhs", "2x2"])
+    def test_lapack_keeps_complex_and_larger_systems(self, monkeypatch,
+                                                     matrix, b):
+        calls = []
+        lapack = np.linalg.solve
+
+        def spy(a, rhs):
+            calls.append(a.shape)
+            return lapack(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x = _solve(matrix, b)
+        assert calls == [matrix.shape]
+        assert x.tobytes() == lapack(matrix, b).tobytes()
+
+    def test_structured_matrix_solves_itself(self):
+        class Solves:
+            def solve(self, b):
+                return 2.0 * b
+
+        assert np.array_equal(_solve(Solves(), np.array([1.0, 3.0])), [2.0, 6.0])
 
 
 class TestConsistentInitialRate:
@@ -298,12 +383,79 @@ class TestSecondOrder:
         b = SecondOrderState([1.0], [0.0], [0.0], 0.1)
         assert second_order_identity_residual(a, b, 0.1, p) == 0.0
 
+    def test_stacked_states_give_each_step_defect_bitwise(self):
+        p = params_from_rho_inf(0.3)
+        osc = HarmonicOscillator(2.0)
+        states = [SecondOrderState([1.0], [0.5], [-4.0], 0.0)]
+        dts = [0.01, 0.03, 0.02] * 4
+        for dt in dts:
+            states.append(step_second_order(osc, states[-1], dt, p))
+        rows = [np.array([getattr(s, name) for s in states])
+                for name in ("u", "u_dot", "u_ddot")]
+        stacked = second_order_identity_residual(
+            SecondOrderState(*(r[:-1] for r in rows), 0.0),
+            SecondOrderState(*(r[1:] for r in rows), 0.0),
+            np.array(dts)[:, None], p)
+        pairwise = [second_order_identity_residual(a, b, dt, p)
+                    for a, b, dt in zip(states, states[1:], dts)]
+        assert stacked.tobytes() == np.array(pairwise).tobytes()
+
     def test_requires_beta(self):
         p = make_params(0.5, 0.5, 0.5)  # no beta attached
         with pytest.raises(ValueError):
             step_second_order(HarmonicOscillator(),
                               SecondOrderState([1.0], [0.0], [-1.0], 0.0),
                               0.1, p)
+
+
+class _NoDense(Tridiagonal):
+    def __array__(self, dtype=None, copy=None):
+        raise AssertionError("the iteration matrix was densified")
+
+
+class SpringChain:
+    """R = M Ü + C U̇ + K U + U^3 for a chain of masses with tridiagonal M, C, K,
+    iteration matrices returned as `matrix(data)`."""
+
+    def __init__(self, m, matrix):
+        self.m, self.matrix = m, matrix
+        one = np.ones(m)
+        self.mass = np.array([one / 6.0, 2.0 * one / 3.0, one / 6.0])
+        self.damp = 0.1 * np.array([0.0 * one, one, 0.0 * one])
+        self.stiff = np.array([-one, 2.0 * one, -one])
+        for band in (self.mass, self.damp, self.stiff):
+            band[0, 0] = band[2, -1] = 0.0
+
+    def dimension(self):
+        return self.m
+
+    def residual(self, u_ddot, u_dot, u, t):
+        return (Tridiagonal(self.mass) @ u_ddot + Tridiagonal(self.damp) @ u_dot
+                + Tridiagonal(self.stiff) @ u + u ** 3)
+
+    def iteration_matrix(self, c_ddot, c_dot, c_u, u_ddot, u_dot, u, t):
+        data = c_ddot * self.mass + c_dot * self.damp + c_u * self.stiff
+        data[1] += c_u * 3.0 * u ** 2
+        return self.matrix(data)
+
+
+class TestSecondOrderStructuredMatrix:
+    def test_tridiagonal_steps_without_densifying(self):
+        m, p = 12, params_from_rho_inf(0.6)
+        u0 = np.sin(np.linspace(0.0, np.pi, m))
+        v0 = np.zeros(m)
+        runs = []
+        for matrix in (_NoDense, lambda data: np.asarray(Tridiagonal(data))):
+            chain = SpringChain(m, matrix)
+            a0 = consistent_initial_acceleration(chain, u0, v0, 0.0)
+            state = SecondOrderState(u0, v0, a0, 0.0)
+            for _ in range(5):
+                state = step_second_order(chain, state, 0.05, p)
+            runs.append(state)
+        structured, dense = runs
+        for name in ("u", "u_dot", "u_ddot"):
+            assert np.max(np.abs(getattr(structured, name)
+                                 - getattr(dense, name))) <= 1e-14
 
 
 class TestNewtonSettings:
