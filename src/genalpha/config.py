@@ -175,16 +175,16 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {line_of(('integrator', key))}: {key} must be finite "
                 f"and > 0")
 
-    model = got(("experiment", "model")) or "burgers"
+    model = _or(got(("experiment", "model")), "burgers")
     if model not in ("burgers", "euler"):
         raise ConfigurationError(
             f"line {line_of(('experiment', 'model'))}: unknown model {model!r}")
-    stabilization = got(("spatial", "stabilization")) or "none"
+    stabilization = _or(got(("spatial", "stabilization")), "none")
     if stabilization not in ("none", "supg"):
         raise ConfigurationError(
             f"line {line_of(('spatial', 'stabilization'))}: stabilization must "
             f"be 'none' or 'supg'")
-    forcing = got(("spatial", "forcing")) or "none"
+    forcing = _or(got(("spatial", "forcing")), "none")
     if forcing not in ("none", "unit"):
         raise ConfigurationError(
             f"line {line_of(('spatial', 'forcing'))}: forcing must be 'none' "
@@ -242,6 +242,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(('spatial', 'gamma_gas'))}: gamma_gas must be "
             f"finite and > 1 for Euler runs")
+    out_dir = _or(got(("output", "directory")), "out")
+    if not out_dir:
+        raise ConfigurationError(
+            f"line {line_of(('output', 'directory'))}: directory must not be "
+            f"empty")
 
     return ExperimentConfig(
         experiment=name,
@@ -263,7 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
         amplitude=amplitude,
         stabilization=stabilization,
         forcing=forcing,
-        out_dir=got(("output", "directory")) or "out",
+        out_dir=out_dir,
         write_csv=_or(got(("output", "csv")), True),
     )
 

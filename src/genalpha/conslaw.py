@@ -9,8 +9,8 @@ Three discretizations of U_t + F(U, U_x)_x = S on the periodic unit interval:
 * the modified scheme (ModifiedNonconservativeSystem) whose temporal term is
   the difference quotient of shifted conserved states
   Û± = U(V) + (af - 1/2)*dt*(dU/dV)(V)*V̇, restoring the discrete balance
-  law.  It supplies the step residual and Jacobian in V̇_{n+1} that the
-  generic `step` solves.
+  law.  It supplies the step problem, the step residual and Jacobian in
+  V̇_{n+1} that the generic `step` solves.
 
 Linear nodal basis, 3-point Gauss quadrature per element everywhere, so the
 balance totals are identities of the same discrete integrals the residual
@@ -23,18 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AdmissibilityError
-from .integrator import GenAlphaParams, StatePair
+from .integrator import GenAlphaParams, StatePair, _reuse_last
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
 _QW = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 _W = np.asarray(_QW)
 _PHI = np.stack([1.0 - np.asarray(_QP), np.asarray(_QP)], axis=1)  # (q, local node)
+_LEFT, _RIGHT = _PHI[None, :, 0, None], _PHI[None, :, 1, None]  # (1, q, 1)
 _DPHI_REF = np.array([-1.0, 1.0])  # dx * dphi/dx of the (left, right) basis
 
 
@@ -47,10 +48,12 @@ def _first_bad(bad, x):
 
 def _stack_matrix(rows):
     """(..., r, c) array from nested rows of broadcastable entries."""
-    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float)
-                                    for row in rows for e in row))
-    return np.stack(entries, axis=-1).reshape(
-        entries[0].shape + (len(rows), len(rows[0])))
+    shape = np.broadcast(*(e for row in rows for e in row)).shape
+    out = np.empty(shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def _matvec(a, v):
@@ -90,16 +93,20 @@ class PeriodicFemSpace:
         if flux is not None:
             local -= np.einsum("a,q,eqp->eap", _DPHI_REF, _W, flux)
         # node e is the left node of element e and the right node of e - 1
-        return (local[:, 0] + np.roll(local[:, 1], 1, axis=0)).reshape(-1)
+        return (local[:, 0] + np.concatenate((local[-1:, 1], local[:-1, 1]))
+                ).reshape(-1)
 
     def assemble_matrix(self, t_val, f_val, f_der, t_der=None) -> np.ndarray:
         """Dense (m, m) derivative of `assemble_rows` from per-point blocks.
 
         With (n_el, 3, p, p) blocks (or broadcastable ones), the block of
         rows a and columns b is int (t_val phi_b + t_der phi_b') phi_a
-        - int (f_val phi_b + f_der phi_b') phi_a'.  np.add.at scatters onto
-        the periodic nodes, so it is also right at n_el = 2, where an
-        element's two nodes are each other's neighbours.
+        - int (f_val phi_b + f_der phi_b') phi_a'.  Element e's blocks are
+        added into zeros at the periodic nodes (e, e+1) by slicing, one
+        statement per block diagonal and periodic corner, so at n_el = 2,
+        where two of them meet, both are added.  Each entry is 0 plus at
+        most two terms, the same bits in either order, so the result equals
+        a np.add.at scatter bit for bit.
         """
         n, dx = self.n_elements, self.dx
         dphi = _DPHI_REF / dx
@@ -113,11 +120,17 @@ class PeriodicFemSpace:
                 + np.einsum("b,eqij->eqbij", dphi, np.broadcast_to(f_der, shape)))
         local = dx * (np.einsum("q,qa,eqbij->eabij", _W, _PHI, temporal)
                       - np.einsum("q,a,eqbij->eabij", _W, dphi, flux))
-        e = np.arange(n)
-        nodes = np.stack([e, (e + 1) % n], axis=1)
         p = shape[-1]
         out = np.zeros((n, n, p, p))
-        np.add.at(out, (nodes[:, :, None], nodes[:, None, :]), local)
+        blocks = out.reshape(n * n, p, p)
+        diag = blocks[::n + 1]
+        diag += local[:, 0, 0]
+        diag[1:] += local[:-1, 1, 1]
+        diag[0] += local[-1, 1, 1]
+        blocks[1::n + 1] += local[:-1, 0, 1]    # (e, e+1)
+        blocks[n * (n - 1)] += local[-1, 0, 1]  # (n-1, 0)
+        blocks[n::n + 1] += local[:-1, 1, 0]    # (e+1, e)
+        blocks[n - 1] += local[-1, 1, 0]        # (0, n-1)
         return out.transpose(0, 2, 1, 3).reshape(n * p, n * p)
 
 
@@ -167,7 +180,7 @@ class Euler1D:
         self.gamma_gas = gamma_gas
 
     def pressure(self, u, x=None):
-        rho, mom, energy = np.moveaxis(u, -1, 0)
+        rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             pres = (self.gamma_gas - 1.0) * (energy - 0.5 * mom ** 2 / rho)
         bad = (rho <= 0.0) | (pres <= 0.0)
@@ -179,13 +192,13 @@ class Euler1D:
         return pres
 
     def flux(self, u, du_dx, x, t):
-        rho, mom, energy = np.moveaxis(u, -1, 0)
+        rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
         pres = self.pressure(u, x)
         vel = mom / rho
         return np.stack([mom, mom * vel + pres, vel * (energy + pres)], axis=-1)
 
     def flux_jacobian(self, u, du_dx, x, t):
-        rho, mom, energy = np.moveaxis(u, -1, 0)
+        rho, mom, energy = u[..., 0], u[..., 1], u[..., 2]
         pres = self.pressure(u, x)
         g = self.gamma_gas
         vel = mom / rho
@@ -212,7 +225,9 @@ class PressurePrimitiveMap:
     Jacobian dU/dV and its derivative (the Hessian of U), which the modified
     scheme's Newton linearization consumes.  Each method takes stacked
     points v of shape (..., 3) and an optional x of matching shape (...),
-    which an AdmissibilityError names.
+    which an AdmissibilityError names.  A caller that has already passed v
+    through `check` gives `checked=True`, and the method does not check it
+    again.
     """
 
     p = 3
@@ -235,17 +250,19 @@ class PressurePrimitiveMap:
             raise AdmissibilityError(
                 f"nonpositive pressure or temperature in V={tuple(v[i])}{at}")
 
-    def to_conserved(self, v, x=None):
-        self.check(v, x)
-        pres, vel, temp = np.moveaxis(v, -1, 0)
+    def to_conserved(self, v, x=None, *, checked=False):
+        if not checked:
+            self.check(v, x)
+        pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rho = pres / (self.r_gas * temp)
         return np.stack([rho, rho * vel,
                          pres / (self.gamma_gas - 1.0) + 0.5 * rho * vel ** 2],
                         axis=-1)
 
-    def jacobian(self, v, x=None):
-        self.check(v, x)
-        pres, vel, temp = np.moveaxis(v, -1, 0)
+    def jacobian(self, v, x=None, *, checked=False):
+        if not checked:
+            self.check(v, x)
+        pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rt = self.r_gas * temp
         rho = pres / rt
         return _stack_matrix([
@@ -255,10 +272,11 @@ class PressurePrimitiveMap:
              -0.5 * rho * vel ** 2 / temp],
         ])
 
-    def hessian(self, v, x=None):
+    def hessian(self, v, x=None, *, checked=False):
         """Second derivatives H[..., j, k, l] = d^2 U_j / dV_k dV_l."""
-        self.check(v, x)
-        pres, vel, temp = np.moveaxis(v, -1, 0)
+        if not checked:
+            self.check(v, x)
+        pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rt = self.r_gas * temp
         h = np.zeros(np.shape(v) + (3, 3))
         # U_0 = p/(R T)
@@ -281,12 +299,9 @@ class PressurePrimitiveMap:
 def _field_values(space: PeriodicFemSpace, coeffs: np.ndarray, p: int):
     """FE values and x-derivatives at quadrature points: (n_el, nq, p) each."""
     c = np.asarray(coeffs, dtype=float).reshape(space.n_elements, p)
-    c_left, c_right = c, np.roll(c, -1, axis=0)
-    xi = np.asarray(_QP)
-    vals = (1.0 - xi)[None, :, None] * c_left[:, None, :] \
-        + xi[None, :, None] * c_right[:, None, :]
-    derivs = np.broadcast_to(((c_right - c_left) / space.dx)[:, None, :],
-                             vals.shape).copy()
+    c_right = np.concatenate((c[1:], c[:1]))  # right node of each element
+    vals = _LEFT * c[:, None, :] + _RIGHT * c_right[:, None, :]
+    derivs = ((c_right - c) / space.dx)[:, None, :].repeat(len(_QP), axis=1)
     return vals, derivs
 
 
@@ -404,49 +419,57 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
         self.model = model
         self.varmap = varmap
 
-    def _conserved_fields(self, v, dv):
-        """dU/dV, U and U_x at stacked points."""
-        a0 = self.varmap.jacobian(v, self.x_quad)
-        return a0, self.varmap.to_conserved(v, self.x_quad), _matvec(a0, dv)
+    def _check(self, *fields):
+        """Admissibility of V fields, each (n_el, 3, p): the first bad point
+        in the order a pointwise loop over (element, point, field) meets it.
+        The varmap methods are then called with `checked=True`."""
+        if len(fields) == 1:
+            self.varmap.check(fields[0], self.x_quad)
+        else:
+            self.varmap.check(np.stack(fields, axis=2), self.x_quad[:, :, None])
 
-    def _flux_blocks(self, v, dv, t):
-        """dU/dV, the Hessian of U and the flux's V-derivative blocks.
+    def _conserved_fields(self, v, dv):
+        """dU/dV, U and U_x at checked stacked points."""
+        a0 = self.varmap.jacobian(v, checked=True)
+        return a0, self.varmap.to_conserved(v, checked=True), _matvec(a0, dv)
+
+    def _flux_blocks(self, v, dv, conserved, t):
+        """The Hessian of U and the flux's V-derivative blocks at checked
+        points, given their `_conserved_fields`.
 
         The flux depends on V through U(V) and U_x = (dU/dV) V_x, so its
         derivative splits into a value part (A_U A0 + A_Ux (H : V_x)) and an
         x-derivative part (A_Ux A0).
         """
-        a0, u, du = self._conserved_fields(v, dv)
+        a0, u, du = conserved
         a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
-        h = self.varmap.hessian(v, self.x_quad)
+        h = self.varmap.hessian(v, checked=True)
         h_dv = np.einsum("...jkl,...k->...jl", h, dv)
-        return a0, h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
+        return h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
 
     def _shifted(self, v, v_dot, shift):
-        """Û = U(V) + shift * (dU/dV)(V) V̇ at stacked points."""
-        return (self.varmap.to_conserved(v, self.x_quad)
-                + shift * _matvec(self.varmap.jacobian(v, self.x_quad), v_dot))
-
-    def _check_first(self, *fields):
-        """Admissibility of several V fields, first bad point in the order a
-        pointwise loop over (element, point, field) would meet it."""
-        self.varmap.check(np.stack(fields, axis=2), self.x_quad[:, :, None])
+        """Û = U(V) + shift * (dU/dV)(V) V̇ at checked stacked points."""
+        return (self.varmap.to_conserved(v, checked=True)
+                + shift * _matvec(self.varmap.jacobian(v, checked=True), v_dot))
 
     def total(self, coeffs) -> np.ndarray:
         """Integral of the pointwise conserved field U(V^h)."""
         vals, _ = _field_values(self.space, coeffs, self.p)
-        return self.space.integrate(self.varmap.to_conserved(vals, self.x_quad))
+        self._check(vals)
+        return self.space.integrate(self.varmap.to_conserved(vals, checked=True))
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
         """Integral of Û = U(V^h) + (alpha_f - 1/2)*dt*(dU/dV)(V^h) V̇^h."""
         vals, _ = _field_values(self.space, state.u, self.p)
         dot_vals, _ = _field_values(self.space, state.u_dot, self.p)
+        self._check(vals)
         return self.space.integrate(
             self._shifted(vals, dot_vals, (alpha_f - 0.5) * dt))
 
     def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
         vals, derivs = _field_values(self.space, u_alpha_f, self.p)
+        self._check(vals)
         _, u, du = self._conserved_fields(vals, derivs)
         return self.space.integrate(
             self.model.source(u, du, self.x_quad, t_alpha_f))
@@ -454,6 +477,7 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
     def residual(self, v_dot, v, t):
         vals, derivs = _field_values(self.space, v, self.p)
         dot_vals, _ = _field_values(self.space, v_dot, self.p)
+        self._check(vals)
         a0, u, du = self._conserved_fields(vals, derivs)
         flux = self.model.flux(u, du, self.x_quad, t)
         temporal = _matvec(a0, dot_vals) - self.model.source(u, du, self.x_quad, t)
@@ -462,10 +486,24 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
     def iteration_matrix(self, c_dot, c_u, v_dot, v, t):
         vals, derivs = _field_values(self.space, v, self.p)
         dot_vals, _ = _field_values(self.space, v_dot, self.p)
-        a0, h, df_val, df_der = self._flux_blocks(vals, derivs, t)
+        self._check(vals)
+        conserved = self._conserved_fields(vals, derivs)
+        h, df_val, df_der = self._flux_blocks(vals, derivs, conserved, t)
         h_vdot = np.einsum("...jkl,...k->...jl", h, dot_vals)
-        return self.space.assemble_matrix(c_dot * a0 + c_u * h_vdot,
+        return self.space.assemble_matrix(c_dot * conserved[0] + c_u * h_vdot,
                                           c_u * df_val, c_u * df_der)
+
+
+class _Iterate(NamedTuple):
+    """One Newton iterate's fields at the points, shared by the modified
+    scheme's step residual and Jacobian at that iterate."""
+
+    v_np1: np.ndarray     # V_{n+1}
+    w: np.ndarray         # V̇_{n+1}, the Newton unknown
+    v_af: np.ndarray      # V_{n+af} and its x-derivative
+    dv_af: np.ndarray
+    conserved_af: tuple   # dU/dV, U and U_x at V_{n+af}
+    a0_np1: np.ndarray    # dU/dV at V_{n+1}
 
 
 class ModifiedNonconservativeSystem(NonconservativeSystem):
@@ -473,53 +511,75 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
 
     The temporal term is (Û+_{n+af+1/2} - Û-_{n+af-1/2})/dt tested against
     W, which requires the whole step context, so the system supplies the
-    step residual and Jacobian that `step` solves.  The shifted-state
-    quotient represents the rate only for second-order parameters, and the
-    shifted states chain only on a uniform time mesh.  The inherited
-    `residual` is the semi-discrete equation, which gives the consistent
-    initial rate; `step` uses the step residual instead.
+    step problem that `step` solves.  The shifted-state quotient represents
+    the rate only for second-order parameters, and the shifted states chain
+    only on a uniform time mesh.  The inherited `residual` is the
+    semi-discrete equation, which gives the consistent initial rate; `step`
+    uses the step problem instead.
     """
 
     admits_balance_law = True
     requires_shifted_midpoint = True
 
-    def _step_fields(self, w_unknown, state_n: StatePair, dt: float,
-                     params: GenAlphaParams):
-        """V_{n+1} and V_{n+af} implied by the Newton unknown V̇_{n+1}."""
-        af, g = params.alpha_f, params.gamma
-        v_np1 = state_n.u + dt * (1.0 - g) * state_n.u_dot + dt * g * w_unknown
-        return v_np1, (1.0 - af) * state_n.u + af * v_np1
+    def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
+        """The modified scheme's residual and its exact Jacobian in V̇_{n+1}.
 
-    def step_residual(self, w_unknown, state_n: StatePair, dt: float,
-                      params: GenAlphaParams):
-        """Residual of the modified scheme as a function of V̇_{n+1}."""
-        shift = (params.alpha_f - 0.5) * dt
-        t_af = state_n.t + params.alpha_f * dt
-        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
-        vn, vdn, vp, w = (_field_values(self.space, c, self.p)[0] for c in
-                          (state_n.u, state_n.u_dot, v_np1, w_unknown))
-        vaf, dvaf = _field_values(self.space, v_af, self.p)
-        self._check_first(vn, vp, vaf)
-        _, u, du = self._conserved_fields(vaf, dvaf)
+        Û- = Û(V_n, V̇_n) depends on the step's start alone and is computed
+        once per step.  Each iterate's fields (`_Iterate`) and their
+        admissibility check, jointly with V_n's, are computed once for the
+        residual and the Jacobian at that iterate.
+        """
+        af, g = params.alpha_f, params.gamma
+        shift = (af - 0.5) * dt
+        t_af = state_n.t + af * dt
+        v_base = state_n.u + dt * (1.0 - g) * state_n.u_dot
+        v_af0, dt_g = (1.0 - af) * state_n.u, dt * g
+        vn, _ = _field_values(self.space, state_n.u, self.p)
+        try:
+            self._check(vn)
+        except AdmissibilityError:
+            minus = None  # each iterate's joint check raises first
+        else:
+            minus = self._shifted(
+                vn, _field_values(self.space, state_n.u_dot, self.p)[0], shift)
+
+        @_reuse_last
+        def fields(w):
+            v_np1 = v_base + dt_g * w
+            vp, _ = _field_values(self.space, v_np1, self.p)
+            vaf, dvaf = _field_values(self.space, v_af0 + af * v_np1, self.p)
+            self._check(vn, vp, vaf)
+            return _Iterate(vp, _field_values(self.space, w, self.p)[0], vaf, dvaf,
+                            self._conserved_fields(vaf, dvaf),
+                            self.varmap.jacobian(vp, checked=True))
+
+        def residual(w):
+            return self.step_residual(fields(w), minus, dt, t_af, shift)
+
+        def jacobian(w):
+            return self.step_jacobian(fields(w), dt, t_af, params)
+        return residual, jacobian
+
+    def step_residual(self, it: _Iterate, minus, dt: float, t_af: float,
+                      shift: float):
+        """Residual at one iterate; `minus` is Û- and shift (af - 1/2)*dt."""
+        _, u, du = it.conserved_af
         flux = self.model.flux(u, du, self.x_quad, t_af)
-        temporal = ((self._shifted(vp, w, shift) - self._shifted(vn, vdn, shift)) / dt
+        plus = (self.varmap.to_conserved(it.v_np1, checked=True)
+                + shift * _matvec(it.a0_np1, it.w))
+        temporal = ((plus - minus) / dt
                     - self.model.source(u, du, self.x_quad, t_af))
         return self.space.assemble_rows(temporal, flux)
 
-    def step_jacobian(self, w_unknown, state_n: StatePair, dt: float,
+    def step_jacobian(self, it: _Iterate, dt: float, t_af: float,
                       params: GenAlphaParams):
         """Exact derivative of `step_residual` in V̇_{n+1} (chain rule incl. H)."""
         af, g = params.alpha_f, params.gamma
         shift = af - 0.5
-        t_af = state_n.t + af * dt
-        v_np1, v_af = self._step_fields(w_unknown, state_n, dt, params)
-        vp, _ = _field_values(self.space, v_np1, self.p)
-        w, _ = _field_values(self.space, w_unknown, self.p)
-        vaf, dvaf = _field_values(self.space, v_af, self.p)
-        self._check_first(vp, vaf)
-        h_w = np.einsum("...jkl,...k->...jl", self.varmap.hessian(vp, self.x_quad), w)
-        temporal = ((g + shift) * self.varmap.jacobian(vp, self.x_quad)
-                    + shift * g * dt * h_w)
-        _, _, df_val, df_der = self._flux_blocks(vaf, dvaf, t_af)
+        h_w = np.einsum("...jkl,...k->...jl",
+                        self.varmap.hessian(it.v_np1, checked=True), it.w)
+        temporal = (g + shift) * it.a0_np1 + shift * g * dt * h_w
+        _, df_val, df_der = self._flux_blocks(it.v_af, it.dv_af, it.conserved_af,
+                                              t_af)
         c_u = af * g * dt  # dV_af/dW
         return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der)

@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .errors import ConfigurationError, NewtonConvergenceError
+from .errors import AdmissibilityError, ConfigurationError, NewtonConvergenceError
 
 _FLAG_TOL = 1e-14
 _REL_DT_TOL = 1e-14  # relative spread below which a dt schedule is uniform
@@ -134,13 +134,19 @@ class SecondOrderState:
 class ResidualSystem(Protocol):
     """Capability contract for a first-order semi-discrete system R(U̇, U, t).
 
-    A system whose temporal term needs the whole step context defines
-    `step_residual(w, state_n, dt, params)` and `step_jacobian` in the Newton
-    unknown w = U̇_{n+1} instead, which `step` then solves.  It sets
-    `requires_shifted_midpoint = True` if it holds only where the scheme is
-    a shifted midpoint rule: second-order parameters on a uniform time mesh.
-    `residual` and `iteration_matrix` must not write into their array
-    arguments: at one Newton iterate, both are given the same arrays.
+    `step` solves each step's problem in the Newton unknown w = U̇_{n+1}.  A
+    system may define `step_problem(state_n, dt, params) -> (residual,
+    jacobian)`, two functions of w, and `step` solves those; a system whose
+    temporal term needs the whole step context does so, and can compute
+    what depends on the step's start state once per step.  Otherwise the
+    residual is `residual`, and the Jacobian `iteration_matrix`, at the
+    generalized-alpha blend of w.  Newton calls the residual and then the
+    Jacobian at one iterate with the same array, so both may share work
+    done for it.  A system sets `requires_shifted_midpoint = True` if it
+    holds only where the scheme is a shifted midpoint rule: second-order
+    parameters on a uniform time mesh.  `residual` and `iteration_matrix`
+    must not write into their array arguments: at one Newton iterate, both
+    are given the same arrays.
     """
 
     def dimension(self) -> int: ...
@@ -274,15 +280,44 @@ def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
     return v
 
 
+def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
+                          dt: float, params: GenAlphaParams
+                          ) -> tuple[Callable, Callable]:
+    """The default step problem: R at the generalized-alpha blend of w.
+
+    The residual is R(U̇_{n+am}, U_{n+af}, t_{n+af}) and the Jacobian
+    alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, both as functions of
+    w = U̇_{n+1}; one iterate's blend is computed once for both.
+    """
+    am, af, g = params.alpha_m, params.alpha_f, params.gamma
+    u_n, v_n = state_n.u, state_n.u_dot
+    t_af = state_n.t + af * dt
+    u_base = u_n + dt * (1.0 - g) * v_n
+    v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
+    dt_g, c_u = dt * g, af * g * dt
+
+    @_reuse_last
+    def blend(v):
+        """(U̇_{n+am}, U_{n+af}) implied by U̇_{n+1} = v."""
+        return v_am0 + am * v, u_af0 + af * (u_base + dt_g * v)
+
+    def res(v):
+        return system.residual(*blend(v), t_af)
+
+    def jac(v):
+        return system.iteration_matrix(am, c_u, *blend(v), t_af)
+    return res, jac
+
+
 def step(system: ResidualSystem, state_n: StatePair, dt: float,
          params: GenAlphaParams,
          newton: NewtonSettings = NewtonSettings()) -> StatePair:
     """One generalized-alpha step; Newton unknown is U̇_{n+1}.
 
-    The predictor is the constant-solution choice U̇_{n+1} = ((gamma-1)/gamma)*U̇_n
-    and the iteration matrix is alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, or
-    the system's own `step_residual`/`step_jacobian` when it defines them.
-    The returned state satisfies the update relation
+    Newton solves the system's `step_problem(state_n, dt, params)`, or
+    `_blended_step_problem` when the system defines none, from the
+    constant-solution predictor U̇_{n+1} = ((gamma-1)/gamma)*U̇_n.  The
+    returned state satisfies the update relation
     U_{n+1} = U_n + dt*((1-gamma)*U̇_n + gamma*U̇_{n+1}) to rounding.
     """
     _check_dt(dt)
@@ -291,38 +326,24 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
         raise ConfigurationError(
             f"{type(system).__name__} requires second-order parameters "
             f"(gamma = 1/2 + alpha_m - alpha_f); got {params}")
-    am, af, g = params.alpha_m, params.alpha_f, params.gamma
+    g = params.gamma
     if g == 0.0:
         raise ValueError("gamma = 0 leaves U̇_{n+1} undetermined")
+    problem = getattr(system, "step_problem", None)
+    res, jac = (problem(state_n, dt, params) if problem is not None
+                else _blended_step_problem(system, state_n, dt, params))
     u_n, v_n = state_n.u, state_n.u_dot
-    t_af = state_n.t + af * dt
-    u_base = u_n + dt * (1.0 - g) * v_n
-    dt_g = dt * g
+    v_np1, _ = _newton(res, jac, ((g - 1.0) / g) * v_n, newton)
+    return StatePair(u_n + dt * (1.0 - g) * v_n + dt * g * v_np1, v_np1,
+                     state_n.t + dt)
 
-    if hasattr(system, "step_residual"):
-        def res(v):
-            return system.step_residual(v, state_n, dt, params)
 
-        def jac(v):
-            return system.step_jacobian(v, state_n, dt, params)
-    else:
-        v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
-        c_u = af * g * dt
-
-        @_reuse_last
-        def blend(v):
-            """(U̇_{n+am}, U_{n+af}) implied by U̇_{n+1} = v."""
-            return v_am0 + am * v, u_af0 + af * (u_base + dt_g * v)
-
-        def res(v):
-            return system.residual(*blend(v), t_af)
-
-        def jac(v):
-            return system.iteration_matrix(am, c_u, *blend(v), t_af)
-
-    v0 = ((g - 1.0) / g) * v_n
-    v_np1, _ = _newton(res, jac, v0, newton)
-    return StatePair(u_base + dt_g * v_np1, v_np1, state_n.t + dt)
+def _at_step(exc: Exception, index: int, t: float, dt: float) -> Exception:
+    """`exc` again, its message led by the step index, t and dt."""
+    message = f"step {index} (t={t!r}, dt={dt!r}): {exc}"
+    if isinstance(exc, NewtonConvergenceError):
+        return type(exc)(message, exc.residual_norms)
+    return type(exc)(message)
 
 
 def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
@@ -332,7 +353,9 @@ def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
 
     Each step is recorded into `ledger` (an `audit.BalanceLedger`) when one
     is given.  A system with `requires_shifted_midpoint` refuses a
-    nonuniform schedule before the first step.
+    nonuniform schedule before the first step.  A `NewtonConvergenceError`
+    or `AdmissibilityError` from a step is raised again, same type, with
+    the step's index (from 0), t and dt before its message.
     """
     if (getattr(system, "requires_shifted_midpoint", False)
             and any(abs(dt - dts[0]) > _REL_DT_TOL * abs(dts[0]) for dt in dts)):
@@ -341,7 +364,10 @@ def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
             f"mesh; got a nonuniform dt schedule")
     states = [state0]
     for dt in dts:
-        states.append(step(system, states[-1], dt, params, newton))
+        try:
+            states.append(step(system, states[-1], dt, params, newton))
+        except (NewtonConvergenceError, AdmissibilityError) as exc:
+            raise _at_step(exc, len(states) - 1, states[-1].t, dt) from exc
         if ledger is not None:
             ledger.record_step(system, states[-2], states[-1], params, dt)
     return states

@@ -32,23 +32,6 @@ class ScalarLinear:
         return np.atleast_1d(self.u0 * np.exp(self.lam * t))
 
 
-class LinearSystem:
-    """u̇ = A u for a small dense matrix A; R = u̇ - A u."""
-
-    def __init__(self, a_matrix):
-        self.a_matrix = np.asarray(a_matrix, dtype=float)
-
-    def dimension(self) -> int:
-        return self.a_matrix.shape[0]
-
-    def residual(self, u_dot, u, t):
-        return u_dot - self.a_matrix @ u
-
-    def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
-        m = self.dimension()
-        return c_dot * np.eye(m) - c_u * self.a_matrix
-
-
 class GenericFirstOrder:
     """u̇ = f(u, t) with analytic Jacobian df/du; R = u̇ - f(u, t).
 

@@ -135,6 +135,14 @@ OUT_OF_RANGE_CONFIGS = {
                           "[spatial]\ngamma_gas = 0.5\n", 4),
     "dt_list-repeated": ("[experiment]\nname = ode-convergence\n[integrator]\n"
                          "dt_list = 0.1,0.1,0.05,0.025\n", 4),
+    # an empty value is rejected, not swapped for the default
+    "model-empty": ("[experiment]\nname = conslaw-balance\nmodel =\n", 3),
+    "stabilization-empty": ("[experiment]\nname = advdiff-balance\n"
+                            "[spatial]\nstabilization = \n", 4),
+    "forcing-empty": ("[experiment]\nname = advdiff-balance\n"
+                      "[spatial]\nforcing =\n", 4),
+    "directory-empty": ("[experiment]\nname = conslaw-balance\n"
+                        "[output]\ndirectory =\n", 4),
 }
 
 

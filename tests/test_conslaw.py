@@ -312,9 +312,9 @@ class TestNonconservative:
         d = RNG.normal(size=v0.size)
         dt = 1e-2
         eps = 1e-7
-        fd = (system.step_residual(w + eps * d, state, dt, params)
-              - system.step_residual(w - eps * d, state, dt, params)) / (2 * eps)
-        action = system.step_jacobian(w, state, dt, params) @ d
+        residual, jacobian = system.step_problem(state, dt, params)
+        fd = (residual(w + eps * d) - residual(w - eps * d)) / (2 * eps)
+        action = jacobian(w) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
     def test_alpha_f_half_reduces_to_plain_difference_quotient(self):
@@ -327,7 +327,7 @@ class TestNonconservative:
         state = StatePair(v0, vd0, 0.0)
         w = 0.05 * RNG.normal(size=v0.size)
         dt = 1e-2
-        res = system.step_residual(w, state, dt, params)
+        res = system.step_problem(state, dt, params)[0](w)
 
         v1 = v0 + dt * (0.5 * vd0 + 0.5 * w)
         v_af = 0.5 * (v0 + v1)
@@ -661,10 +661,9 @@ class TestBatchedKernelsMatchLoopOracle:
         assert_close(system.balance_source(u, t), source(u, t))
         if case == "primitive-modified":
             w = 0.1 * rng.normal(size=u.size)
-            assert_close(system.step_residual(w, state, dt, params),
-                         oracle.step_residual(w, state, dt, params))
-            assert_close(system.step_jacobian(w, state, dt, params),
-                         oracle.step_jacobian(w, state, dt, params))
+            residual, jacobian = system.step_problem(state, dt, params)
+            assert_close(residual(w), oracle.step_residual(w, state, dt, params))
+            assert_close(jacobian(w), oracle.step_jacobian(w, state, dt, params))
             return
         residual, matrix = (
             (oracle.conserved_residual, oracle.conserved_matrix)
@@ -743,6 +742,100 @@ class TestBatchedAdmissibility:
         params = params_from_rho_inf(0.5)
         w = np.full_like(v, 2.0)
         self._expect_same_error(
-            lambda: system.step_residual(w, state, 1e-3, params),
+            lambda: system.step_problem(state, 1e-3, params)[0](w),
             lambda: LoopOracle(system).step_residual(w, state, 1e-3, params),
             system)
+
+
+def add_at_assemble(space, t_val, f_val, f_der, t_der):
+    """`assemble_matrix` with its element blocks scattered by np.add.at: the
+    reference for its sliced scatter."""
+    n, dx = space.n_elements, space.dx
+    phi = np.stack([1.0 - np.asarray(_QP), np.asarray(_QP)], axis=1)
+    dphi = np.array([-1.0, 1.0]) / dx
+    temporal = (np.einsum("qb,eqij->eqbij", phi, t_val)
+                + np.einsum("b,eqij->eqbij", dphi, t_der))
+    flux = (np.einsum("qb,eqij->eqbij", phi, f_val)
+            + np.einsum("b,eqij->eqbij", dphi, f_der))
+    local = dx * (np.einsum("q,qa,eqbij->eabij", np.asarray(_QW), phi, temporal)
+                  - np.einsum("q,a,eqbij->eabij", np.asarray(_QW), dphi, flux))
+    e = np.arange(n)
+    nodes = np.stack([e, (e + 1) % n], axis=1)
+    p = t_val.shape[-1]
+    out = np.zeros((n, n, p, p))
+    np.add.at(out, (nodes[:, :, None], nodes[:, None, :]), local)
+    return out.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+class TestAssembleMatrix:
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_matches_add_at_scatter_bitwise(self, n, p):
+        rng = np.random.default_rng(n * 10 + p)
+        space = PeriodicFemSpace(n)
+        blocks = [rng.normal(size=(n, 3, p, p)) for _ in range(4)]
+        for block in blocks:
+            block[n // 2] = 0.0  # an element whose blocks are all zero
+        got = space.assemble_matrix(*blocks[:3], t_der=blocks[3])
+        want = add_at_assemble(space, *blocks)
+        assert got.shape == (n * p, n * p)
+        assert got.tobytes() == want.tobytes()
+
+
+class _CountingMap(PressurePrimitiveMap):
+    """Records the points each conserved-state and Jacobian call sees."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = {"to_conserved": [], "jacobian": []}
+
+    def to_conserved(self, v, x=None, *, checked=False):
+        self.seen["to_conserved"].append(np.array(v))
+        return super().to_conserved(v, x, checked=checked)
+
+    def jacobian(self, v, x=None, *, checked=False):
+        self.seen["jacobian"].append(np.array(v))
+        return super().jacobian(v, x, checked=checked)
+
+
+class _CountingModified(ModifiedNonconservativeSystem):
+    residuals = 0
+
+    def step_residual(self, *args):
+        self.residuals += 1
+        return super().step_residual(*args)
+
+
+class TestModifiedStepProblem:
+    def test_start_state_work_done_once_per_step(self):
+        space = PeriodicFemSpace(16)
+        varmap = _CountingMap(GAS, 1.0)
+        system = _CountingModified(space, Euler1D(GAS), varmap)
+        v0 = system.project(ic_primitive)
+        state = StatePair(v0, consistent_initial_rate(system, v0, 0.0), 0.0)
+        vn, _ = _field_values(space, state.u, 3)
+        for seen in varmap.seen.values():
+            seen.clear()
+        step(system, state, 2e-3, params_from_rho_inf(0.5))
+        assert system.residuals >= 3  # at least two Newton iterations
+        for name, seen in varmap.seen.items():
+            at_vn = [v for v in seen if v.shape == vn.shape and np.array_equal(v, vn)]
+            assert len(at_vn) == 1, name
+
+    def test_residual_and_jacobian_share_an_iterate(self):
+        # the Jacobian after the residual at one iterate, the residual after
+        # the Jacobian, and each alone give the same bits
+        system = ModifiedNonconservativeSystem(
+            PeriodicFemSpace(8), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
+        v0 = system.project(ic_primitive)
+        state = StatePair(v0, 0.1 * RNG.normal(size=v0.size), 0.0)
+        params = params_from_rho_inf(0.5)
+        w = 0.1 * RNG.normal(size=v0.size)
+        r1, j1 = system.step_problem(state, 1e-2, params)
+        r2, j2 = system.step_problem(state, 1e-2, params)
+        first = (r1(w), j1(w))
+        second = (j2(w), r2(w))[::-1]
+        alone = (system.step_problem(state, 1e-2, params)[0](w),
+                 system.step_problem(state, 1e-2, params)[1](w))
+        for a, b, c in zip(first, second, alone):
+            assert a.tobytes() == b.tobytes() == c.tobytes()

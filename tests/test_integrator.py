@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genalpha import (GenAlphaParams, NewtonConvergenceError, NewtonSettings,
+from genalpha import (AdmissibilityError, GenAlphaParams,
+                      NewtonConvergenceError, NewtonSettings,
                       SecondOrderState, StatePair, consistent_initial_acceleration,
                       consistent_initial_rate, integrate, make_params,
                       midpoint_identity_residual, params_from_rho_inf,
@@ -464,3 +465,36 @@ class TestNewtonSettings:
             NewtonSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iters=0)
+
+
+class _LeavesAdmissibleSet(ScalarLinear):
+    """Raises AdmissibilityError once the residual's time passes 0.25."""
+
+    def residual(self, u_dot, u, t):
+        if t > 0.25:
+            raise AdmissibilityError("left the admissible set")
+        return super().residual(u_dot, u, t)
+
+
+class TestIntegrateErrorContext:
+    def test_newton_failure_names_step_t_and_dt(self):
+        p, newton = params_from_rho_inf(0.5), NewtonSettings(max_iters=2)
+        dts = [0.01, 0.01, 5.0]
+        states = integrate(logistic(), StatePair([0.5], [0.25], 0.0), dts[:2],
+                           p, newton)
+        with pytest.raises(NewtonConvergenceError) as direct:
+            step(logistic(), states[-1], 5.0, p, newton)
+        with pytest.raises(NewtonConvergenceError) as info:
+            integrate(logistic(), StatePair([0.5], [0.25], 0.0), dts, p, newton)
+        assert type(info.value) is NewtonConvergenceError
+        assert str(info.value) == (f"step 2 (t={states[-1].t!r}, dt=5.0): "
+                                   f"{direct.value}")
+        assert info.value.residual_norms == direct.value.residual_norms
+        assert type(info.value.__cause__) is NewtonConvergenceError
+
+    def test_admissibility_error_names_step_t_and_dt(self):
+        with pytest.raises(AdmissibilityError) as info:
+            integrate(_LeavesAdmissibleSet(-1.0), StatePair([1.0], [-1.0], 0.0),
+                      [0.1] * 5, params_from_rho_inf(0.5))
+        assert type(info.value) is AdmissibilityError
+        assert str(info.value) == "step 2 (t=0.2, dt=0.1): left the admissible set"
