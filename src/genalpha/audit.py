@@ -52,8 +52,6 @@ class BalanceLedger:
     _second_order: bool = True
     _admits: bool = True
     _prev_plus_vec: np.ndarray | None = None
-    _prev_plus_total: np.ndarray | None = None
-    _prev_plus_key: tuple = ()  # (system, state, dt, alpha_f) of that total
 
     @property
     def certified(self) -> bool:
@@ -63,12 +61,7 @@ class BalanceLedger:
 
     def record_step(self, system, state_n: StatePair, state_np1: StatePair,
                     params: GenAlphaParams, dt: float) -> "BalanceLedger":
-        """Append one step's ledger row from two consecutive stepper states.
-
-        When `state_n` is the previous step's `state_np1` (the same object),
-        with the same system, dt and alpha_f, the minus side is the previous
-        plus side, which is reused rather than computed again.
-        """
+        """Append one step's ledger row from two consecutive stepper states."""
         if state_n.u.shape != state_np1.u.shape:
             raise ValueError("inconsistent state dimensions")
         af = params.alpha_f
@@ -81,26 +74,19 @@ class BalanceLedger:
 
         u_af = (1.0 - af) * state_n.u + af * state_np1.u
         t_af = state_n.t + af * dt
-        prev = self._prev_plus_key
-        if prev and prev[0] is system and prev[1] is state_n and prev[2:] == (dt, af):
-            minus_vec, minus_total = self._prev_plus_vec, self._prev_plus_total
-        else:
-            minus_vec = shifted_state(state_n, dt, af, "minus")
-            minus_total = np.asarray(system.shifted_balance_total(state_n, dt, af),
-                                     dtype=float)
+        minus_vec = shifted_state(state_n, dt, af, "minus")
         mismatch = 0.0
         if self._prev_plus_vec is not None:
             mismatch = float(np.linalg.norm(minus_vec - self._prev_plus_vec, np.inf))
         self._prev_plus_vec = shifted_state(state_np1, dt, af, "plus")
-        self._prev_plus_total = np.asarray(
-            system.shifted_balance_total(state_np1, dt, af), dtype=float)
-        self._prev_plus_key = (system, state_np1, dt, af)
 
         self.entries.append(LedgerEntry(
             step=self.n_begin + len(self.entries),
             t_alpha_f=t_af,
-            shifted_total_minus=minus_total,
-            shifted_total_plus=self._prev_plus_total,
+            shifted_total_minus=np.asarray(
+                system.shifted_balance_total(state_n, dt, af), dtype=float),
+            shifted_total_plus=np.asarray(
+                system.shifted_balance_total(state_np1, dt, af), dtype=float),
             source_integral=dt * np.asarray(
                 system.balance_source(u_af, t_af), dtype=float),
             boundary_outflow=dt * float(system.balance_outflow(u_af, t_af)),

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .integrator import GenAlphaParams, StatePair, _reuse_last
+from .integrator import GenAlphaParams, StatePair, _reuse_last, _update_base
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
@@ -225,9 +225,9 @@ class PressurePrimitiveMap:
     Jacobian dU/dV and its derivative (the Hessian of U), which the modified
     scheme's Newton linearization consumes.  Each method takes stacked
     points v of shape (..., 3) and an optional x of matching shape (...),
-    which an AdmissibilityError names.  A caller that has already passed v
-    through `check` gives `checked=True`, and the method does not check it
-    again.
+    which an AdmissibilityError names.  The public methods check v first;
+    the unchecked formulas `_to_conserved`, `_jacobian` and `_hessian` serve
+    callers that have already passed v through `check`.
     """
 
     p = 3
@@ -250,18 +250,27 @@ class PressurePrimitiveMap:
             raise AdmissibilityError(
                 f"nonpositive pressure or temperature in V={tuple(v[i])}{at}")
 
-    def to_conserved(self, v, x=None, *, checked=False):
-        if not checked:
-            self.check(v, x)
+    def to_conserved(self, v, x=None):
+        self.check(v, x)
+        return self._to_conserved(np.asarray(v))
+
+    def jacobian(self, v, x=None):
+        self.check(v, x)
+        return self._jacobian(np.asarray(v))
+
+    def hessian(self, v, x=None):
+        """Second derivatives H[..., j, k, l] = d^2 U_j / dV_k dV_l."""
+        self.check(v, x)
+        return self._hessian(np.asarray(v))
+
+    def _to_conserved(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rho = pres / (self.r_gas * temp)
         return np.stack([rho, rho * vel,
                          pres / (self.gamma_gas - 1.0) + 0.5 * rho * vel ** 2],
                         axis=-1)
 
-    def jacobian(self, v, x=None, *, checked=False):
-        if not checked:
-            self.check(v, x)
+    def _jacobian(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rt = self.r_gas * temp
         rho = pres / rt
@@ -272,10 +281,7 @@ class PressurePrimitiveMap:
              -0.5 * rho * vel ** 2 / temp],
         ])
 
-    def hessian(self, v, x=None, *, checked=False):
-        """Second derivatives H[..., j, k, l] = d^2 U_j / dV_k dV_l."""
-        if not checked:
-            self.check(v, x)
+    def _hessian(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
         rt = self.r_gas * temp
         h = np.zeros(np.shape(v) + (3, 3))
@@ -422,7 +428,7 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
     def _check(self, *fields):
         """Admissibility of V fields, each (n_el, 3, p): the first bad point
         in the order a pointwise loop over (element, point, field) meets it.
-        The varmap methods are then called with `checked=True`."""
+        The unchecked varmap formulas are then called on them."""
         if len(fields) == 1:
             self.varmap.check(fields[0], self.x_quad)
         else:
@@ -430,8 +436,8 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
 
     def _conserved_fields(self, v, dv):
         """dU/dV, U and U_x at checked stacked points."""
-        a0 = self.varmap.jacobian(v, checked=True)
-        return a0, self.varmap.to_conserved(v, checked=True), _matvec(a0, dv)
+        a0 = self.varmap._jacobian(v)
+        return a0, self.varmap._to_conserved(v), _matvec(a0, dv)
 
     def _flux_blocks(self, v, dv, conserved, t):
         """The Hessian of U and the flux's V-derivative blocks at checked
@@ -443,20 +449,20 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
         """
         a0, u, du = conserved
         a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
-        h = self.varmap.hessian(v, checked=True)
+        h = self.varmap._hessian(v)
         h_dv = np.einsum("...jkl,...k->...jl", h, dv)
         return h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
 
     def _shifted(self, v, v_dot, shift):
         """Û = U(V) + shift * (dU/dV)(V) V̇ at checked stacked points."""
-        return (self.varmap.to_conserved(v, checked=True)
-                + shift * _matvec(self.varmap.jacobian(v, checked=True), v_dot))
+        return (self.varmap._to_conserved(v)
+                + shift * _matvec(self.varmap._jacobian(v), v_dot))
 
     def total(self, coeffs) -> np.ndarray:
         """Integral of the pointwise conserved field U(V^h)."""
         vals, _ = _field_values(self.space, coeffs, self.p)
         self._check(vals)
-        return self.space.integrate(self.varmap.to_conserved(vals, checked=True))
+        return self.space.integrate(self.varmap._to_conserved(vals))
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
@@ -532,7 +538,7 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         af, g = params.alpha_f, params.gamma
         shift = (af - 0.5) * dt
         t_af = state_n.t + af * dt
-        v_base = state_n.u + dt * (1.0 - g) * state_n.u_dot
+        v_base = _update_base(state_n, dt, g)
         v_af0, dt_g = (1.0 - af) * state_n.u, dt * g
         vn, _ = _field_values(self.space, state_n.u, self.p)
         try:
@@ -551,7 +557,7 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
             self._check(vn, vp, vaf)
             return _Iterate(vp, _field_values(self.space, w, self.p)[0], vaf, dvaf,
                             self._conserved_fields(vaf, dvaf),
-                            self.varmap.jacobian(vp, checked=True))
+                            self.varmap._jacobian(vp))
 
         def residual(w):
             return self.step_residual(fields(w), minus, dt, t_af, shift)
@@ -565,7 +571,7 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         """Residual at one iterate; `minus` is Û- and shift (af - 1/2)*dt."""
         _, u, du = it.conserved_af
         flux = self.model.flux(u, du, self.x_quad, t_af)
-        plus = (self.varmap.to_conserved(it.v_np1, checked=True)
+        plus = (self.varmap._to_conserved(it.v_np1)
                 + shift * _matvec(it.a0_np1, it.w))
         temporal = ((plus - minus) / dt
                     - self.model.source(u, du, self.x_quad, t_af))
@@ -577,7 +583,7 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         af, g = params.alpha_f, params.gamma
         shift = af - 0.5
         h_w = np.einsum("...jkl,...k->...jl",
-                        self.varmap.hessian(it.v_np1, checked=True), it.w)
+                        self.varmap._hessian(it.v_np1), it.w)
         temporal = (g + shift) * it.a0_np1 + shift * g * dt * h_w
         _, df_val, df_der = self._flux_blocks(it.v_af, it.dv_af, it.conserved_af,
                                               t_af)

@@ -142,8 +142,11 @@ class ResidualSystem(Protocol):
     residual is `residual`, and the Jacobian `iteration_matrix`, at the
     generalized-alpha blend of w.  Newton calls the residual and then the
     Jacobian at one iterate with the same array, so both may share work
-    done for it.  A system sets `requires_shifted_midpoint = True` if it
-    holds only where the scheme is a shifted midpoint rule: second-order
+    done for it.  `step` returns U_{n+1} = `_update_base(state_n, dt,
+    gamma)` + dt*gamma*U̇_{n+1}; a step problem that needs U_{n+1} as a
+    function of w forms it the same way, so the two agree bit for bit.
+    A system sets `requires_shifted_midpoint = True` if it holds only
+    where the scheme is a shifted midpoint rule: second-order
     parameters on a uniform time mesh.  `residual` and `iteration_matrix`
     must not write into their array arguments: at one Newton iterate, both
     are given the same arrays.
@@ -280,19 +283,24 @@ def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
     return v
 
 
+def _update_base(state_n: StatePair, dt: float, gamma: float) -> np.ndarray:
+    """U_n + dt*(1-gamma)*U̇_n: the update U_{n+1} less its dt*gamma*U̇_{n+1}."""
+    return state_n.u + dt * (1.0 - gamma) * state_n.u_dot
+
+
 def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
-                          dt: float, params: GenAlphaParams
+                          dt: float, params: GenAlphaParams, u_base: np.ndarray
                           ) -> tuple[Callable, Callable]:
     """The default step problem: R at the generalized-alpha blend of w.
 
     The residual is R(U̇_{n+am}, U_{n+af}, t_{n+af}) and the Jacobian
     alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, both as functions of
-    w = U̇_{n+1}; one iterate's blend is computed once for both.
+    w = U̇_{n+1}; one iterate's blend is computed once for both.  `u_base`
+    is `step`'s `_update_base`.
     """
     am, af, g = params.alpha_m, params.alpha_f, params.gamma
     u_n, v_n = state_n.u, state_n.u_dot
     t_af = state_n.t + af * dt
-    u_base = u_n + dt * (1.0 - g) * v_n
     v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
     dt_g, c_u = dt * g, af * g * dt
 
@@ -329,13 +337,12 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     g = params.gamma
     if g == 0.0:
         raise ValueError("gamma = 0 leaves U̇_{n+1} undetermined")
+    u_base = _update_base(state_n, dt, g)
     problem = getattr(system, "step_problem", None)
     res, jac = (problem(state_n, dt, params) if problem is not None
-                else _blended_step_problem(system, state_n, dt, params))
-    u_n, v_n = state_n.u, state_n.u_dot
-    v_np1, _ = _newton(res, jac, ((g - 1.0) / g) * v_n, newton)
-    return StatePair(u_n + dt * (1.0 - g) * v_n + dt * g * v_np1, v_np1,
-                     state_n.t + dt)
+                else _blended_step_problem(system, state_n, dt, params, u_base))
+    v_np1, _ = _newton(res, jac, ((g - 1.0) / g) * state_n.u_dot, newton)
+    return StatePair(u_base + dt * g * v_np1, v_np1, state_n.t + dt)
 
 
 def _at_step(exc: Exception, index: int, t: float, dt: float) -> Exception:

@@ -163,55 +163,3 @@ class TestReport:
         _, _, l1 = advdiff_run(config, [1e-3] * 3)
         _, _, l2 = advdiff_run(config, [1e-3] * 3)
         assert report_to_csv(l1.report()) == report_to_csv(l2.report())
-
-
-def _copy(state):
-    return StatePair(state.u.copy(), state.u_dot.copy(), state.t)
-
-
-class TestShiftedTotalReuse:
-    """A step's minus-total is the previous step's plus-total when the
-    schedule repeats dt; it is then reused, not computed again."""
-
-    def _run(self, dts):
-        space = PeriodicFemSpace(16)
-        system = ConservedSystem(space, Burgers1D(
-            0.05, s=lambda x, t: np.sin(2 * np.pi * x) * np.cos(3.0 * t) + 0.25))
-        calls = []
-        total = system.shifted_balance_total
-
-        def counted(state, dt, alpha_f):
-            calls.append(state)
-            return total(state, dt, alpha_f)
-        system.shifted_balance_total = counted
-        u0 = system.project(lambda x: np.array([0.2 * np.sin(2 * np.pi * x)]))
-        state = StatePair(u0, consistent_initial_rate(system, u0, 0.0), 0.0)
-        ledger = BalanceLedger()
-        states = integrate(system, state, dts, P, ledger=ledger)
-        n_calls = len(calls)
-        # the same steps from copies of each start state compute every total
-        fresh = BalanceLedger()
-        for s0, s1, dt in zip(states, states[1:], dts):
-            fresh.record_step(system, _copy(s0), s1, P, dt)
-        assert len(calls) == n_calls + 2 * len(dts)
-        for got, want in zip(ledger.entries, fresh.entries):
-            for name in ("shifted_total_minus", "shifted_total_plus",
-                         "source_integral"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.mismatch == want.mismatch
-        assert ledger.drift().tobytes() == fresh.drift().tobytes()
-        return ledger, n_calls
-
-    def test_uniform_schedule_computes_each_total_once(self):
-        ledger, n_calls = self._run([1e-3] * 12)
-        assert n_calls == 12 + 1
-        for prev, entry in zip(ledger.entries, ledger.entries[1:]):
-            assert (entry.shifted_total_minus.tobytes()
-                    == prev.shifted_total_plus.tobytes())
-        assert ledger.max_mismatch == 0.0
-
-    def test_nonuniform_schedule_recomputes(self):
-        ledger, n_calls = self._run([1e-3, 2e-3] * 6)
-        assert n_calls == 2 * 12
-        assert not ledger.uniform_dt
-        assert ledger.max_mismatch > 0.0

@@ -789,13 +789,13 @@ class _CountingMap(PressurePrimitiveMap):
         super().__init__(*args)
         self.seen = {"to_conserved": [], "jacobian": []}
 
-    def to_conserved(self, v, x=None, *, checked=False):
+    def _to_conserved(self, v):
         self.seen["to_conserved"].append(np.array(v))
-        return super().to_conserved(v, x, checked=checked)
+        return super()._to_conserved(v)
 
-    def jacobian(self, v, x=None, *, checked=False):
+    def _jacobian(self, v):
         self.seen["jacobian"].append(np.array(v))
-        return super().jacobian(v, x, checked=checked)
+        return super()._jacobian(v)
 
 
 class _CountingModified(ModifiedNonconservativeSystem):
