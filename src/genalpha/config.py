@@ -24,6 +24,22 @@ _SCHEMA = {
     "output": {"directory": "str", "csv": "bool"},
 }
 
+# the keys each experiment reads: these, the name, the parameters and the
+# [output] keys; any other key is rejected with its line
+_STEPS = ("dt", "dt_schedule", "n_steps")
+_READS = {
+    "ode-convergence": ("dt_list", "t_final"),
+    "amplification-sweep": (),
+    "advdiff-balance": _STEPS + ("n_elements", "a", "kappa", "stabilization",
+                                 "forcing"),
+    "conslaw-balance": _STEPS + ("model", "n_elements", "amplitude",
+                                 "stabilization"),
+    "nonconservative-compare": _STEPS + ("n_elements", "amplitude", "gamma_gas"),
+    "second-order-identity": _STEPS,
+}
+_READ_BY_ALL = ("name", "rho_inf", "alpha_m", "alpha_f", "gamma", "directory",
+                "csv")
+
 _DEFAULT_DT_LIST = (0.1, 0.05, 0.025, 0.0125)
 
 
@@ -138,6 +154,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {line_of(('experiment', 'name'))}: unknown experiment "
             f"{name!r}; choose from {', '.join(EXPERIMENTS)}")
+    model = _or(got(("experiment", "model")), "burgers")
+    reads, runner = _READ_BY_ALL + _READS[name], name
+    if name == "conslaw-balance":
+        runner += f" with model = {model}"
+        if model == "euler":
+            reads += ("gamma_gas",)
+    for (_, key), lineno in lines.items():  # in line order
+        if key not in reads:
+            raise ConfigurationError(
+                f"line {lineno}: key {key!r} does not apply to {runner}")
 
     rho_inf = got(("integrator", "rho_inf"))
     if rho_inf is not None and not 0.0 <= rho_inf <= 1.0:
@@ -175,7 +201,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {line_of(('integrator', key))}: {key} must be finite "
                 f"and > 0")
 
-    model = _or(got(("experiment", "model")), "burgers")
     if model not in ("burgers", "euler"):
         raise ConfigurationError(
             f"line {line_of(('experiment', 'model'))}: unknown model {model!r}")
@@ -194,7 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
     dt_schedule, repeats = (schedule if schedule is not None else (None, False))
 
     dt_list = got(("integrator", "dt_list"))
-    if name == "ode-convergence" and dt_list is None and not dt_forms:
+    if name == "ode-convergence" and dt_list is None:
         dt_list = _DEFAULT_DT_LIST
     if dt_list is not None and not all(x > y for x, y in zip(dt_list, dt_list[1:])):
         raise ConfigurationError(

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError
-from .integrator import GenAlphaParams, StatePair, _reuse_last, _update_base
+from .integrator import (GenAlphaParams, StatePair, _blended_step_problem,
+                         _reuse_last, _update_base)
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
@@ -37,6 +38,7 @@ _W = np.asarray(_QW)
 _PHI = np.stack([1.0 - np.asarray(_QP), np.asarray(_QP)], axis=1)  # (q, local node)
 _LEFT, _RIGHT = _PHI[None, :, 0, None], _PHI[None, :, 1, None]  # (1, q, 1)
 _DPHI_REF = np.array([-1.0, 1.0])  # dx * dphi/dx of the (left, right) basis
+_PHI_B = _PHI[:, :, None, None]  # (q, b, 1, 1)
 
 
 def _first_bad(bad, x):
@@ -58,6 +60,13 @@ def _stack_matrix(rows):
 
 def _matvec(a, v):
     return np.einsum("...jk,...k->...j", a, v)
+
+
+def _at_basis(phi, block):
+    """phi[q, b] * block[e, q, i, j], broadcast, for a phi shaped to stand
+    before block's last two axes."""
+    block = np.asarray(block)
+    return phi * (block[..., None, :, :] if block.ndim >= 2 else block)
 
 
 @dataclass(frozen=True)
@@ -96,42 +105,63 @@ class PeriodicFemSpace:
         return (local[:, 0] + np.concatenate((local[-1:, 1], local[:-1, 1]))
                 ).reshape(-1)
 
-    def assemble_matrix(self, t_val, f_val, f_der, t_der=None) -> np.ndarray:
+    def assemble_matrix(self, t_val, f_val, f_der, t_der=None,
+                        out=None) -> np.ndarray:
         """Dense (m, m) derivative of `assemble_rows` from per-point blocks.
 
         With (n_el, 3, p, p) blocks (or broadcastable ones), the block of
         rows a and columns b is int (t_val phi_b + t_der phi_b') phi_a
-        - int (f_val phi_b + f_der phi_b') phi_a'.  Element e's blocks are
-        added into zeros at the periodic nodes (e, e+1) by slicing, one
-        statement per block diagonal and periodic corner, so at n_el = 2,
-        where two of them meet, both are added.  Each entry is 0 plus at
-        most two terms, the same bits in either order, so the result equals
-        a np.add.at scatter bit for bit.
+        - int (f_val phi_b + f_der phi_b') phi_a'.  The matrix is written
+        into `out`, a C-contiguous (m, m) float64 array, when one is given,
+        else into a new one, and returned.  Element e's blocks are added
+        into zeros at the periodic nodes (e, e+1) through strided views of
+        the (m, m) layout, one statement per block diagonal and periodic
+        corner, so at n_el = 2, where two of them meet, both are added.
+        Each entry is 0 plus at most two terms, the same bits in either
+        order, so the result equals a np.add.at scatter bit for bit.
         """
         n, dx = self.n_elements, self.dx
         dphi = _DPHI_REF / dx
+        dphi_b = dphi[:, None, None]  # (b, 1, 1)
         shape = np.broadcast_shapes(np.shape(t_val), np.shape(f_val),
-                                    np.shape(f_der), (n, 3, 1, 1))
-        temporal = np.einsum("qb,eqij->eqbij", _PHI, np.broadcast_to(t_val, shape))
+                                    np.shape(f_der), np.shape(t_der),
+                                    (n, 3, 1, 1))
+        points = shape[:2] + (2,) + shape[2:]  # (n_el, 3, b, p, p)
+        temporal = _at_basis(_PHI_B, t_val)
         if t_der is not None:
-            temporal = temporal + np.einsum("b,eqij->eqbij", dphi,
-                                            np.broadcast_to(t_der, shape))
-        flux = (np.einsum("qb,eqij->eqbij", _PHI, np.broadcast_to(f_val, shape))
-                + np.einsum("b,eqij->eqbij", dphi, np.broadcast_to(f_der, shape)))
+            temporal = temporal + _at_basis(dphi_b, t_der)
+        flux = _at_basis(_PHI_B, f_val) + _at_basis(dphi_b, f_der)
+        temporal, flux = (x if x.shape == points else np.broadcast_to(x, points)
+                          for x in (temporal, flux))
         local = dx * (np.einsum("q,qa,eqbij->eabij", _W, _PHI, temporal)
                       - np.einsum("q,a,eqbij->eabij", _W, dphi, flux))
         p = shape[-1]
-        out = np.zeros((n, n, p, p))
-        blocks = out.reshape(n * n, p, p)
-        diag = blocks[::n + 1]
+        m = n * p
+        if out is None:
+            out = np.empty((m, m))
+        elif not (out.shape == (m, m) and out.dtype == np.float64
+                  and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous ({m}, {m}) float64 "
+                             f"array, got {out.dtype} {out.shape}")
+        out.fill(0.0)
+        row, col = out.strides
+
+        def band(first_row, first_col, count):
+            """Blocks (first_row + k, first_col + k) for k < count."""
+            return np.ndarray((count, p, p), out.dtype, out,
+                              p * (first_row * row + first_col * col),
+                              (p * (row + col), row, col))
+
+        diag = band(0, 0, n)
         diag += local[:, 0, 0]
         diag[1:] += local[:-1, 1, 1]
         diag[0] += local[-1, 1, 1]
-        blocks[1::n + 1] += local[:-1, 0, 1]    # (e, e+1)
-        blocks[n * (n - 1)] += local[-1, 0, 1]  # (n-1, 0)
-        blocks[n::n + 1] += local[:-1, 1, 0]    # (e+1, e)
-        blocks[n - 1] += local[-1, 1, 0]        # (0, n-1)
-        return out.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+        upper, lower = band(0, 1, n - 1), band(1, 0, n - 1)
+        upper += local[:-1, 0, 1]           # (e, e+1)
+        out[m - p:, :p] += local[-1, 0, 1]  # (n-1, 0)
+        lower += local[:-1, 1, 0]           # (e+1, e)
+        out[:p, m - p:] += local[-1, 1, 0]  # (0, n-1)
+        return out
 
 
 class Burgers1D:
@@ -326,13 +356,31 @@ def project_periodic(space: PeriodicFemSpace, fn: Callable, p: int) -> np.ndarra
 
 
 class _PeriodicGalerkinBase:
-    """Shared geometry and audit plumbing for the three systems."""
+    """Shared geometry, step problem and audit plumbing for the three systems.
+
+    Every Jacobian a system's step problem builds is written into one (m, m)
+    buffer of that system, allocated at its first step, so a step-problem
+    Jacobian is valid until the system's next Jacobian call.  Public
+    `iteration_matrix` without `out` returns a new array.
+    """
 
     def __init__(self, space: PeriodicFemSpace, p: int):
         self.space = space
         self.p = p
         self.m = space.n_elements * p
         self.x_quad = space.quad_points()
+        self._jacobian = None
+
+    def _jacobian_buffer(self) -> np.ndarray:
+        if self._jacobian is None:
+            self._jacobian = np.empty((self.m, self.m))
+        return self._jacobian
+
+    def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
+        """The default blended step problem, its Jacobians built in place."""
+        return _blended_step_problem(self, state_n, dt, params,
+                                     _update_base(state_n, dt, params.gamma),
+                                     out=self._jacobian_buffer())
 
     def dimension(self) -> int:
         return self.m
@@ -377,14 +425,14 @@ class ConservedSystem(_PeriodicGalerkinBase):
         temporal = dot_vals - self.model.source(vals, derivs, x, t)
         return self.space.assemble_rows(temporal, flux)
 
-    def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
+    def iteration_matrix(self, c_dot, c_u, u_dot, u, t, out=None):
         vals, derivs = _field_values(self.space, u, self.p)
         x, eye = self.x_quad, np.eye(self.p)
         a_u, a_ux = self.model.flux_jacobian(vals, derivs, x, t)
         s_u, s_ux = self.model.source_jacobian(vals, derivs, x, t)
         return self.space.assemble_matrix(
             c_dot * eye - c_u * s_u, c_u * a_u, c_u * (a_ux - self.stab * eye),
-            t_der=-c_u * s_ux)
+            t_der=-c_u * s_ux, out=out)
 
     def total(self, coeffs) -> np.ndarray:
         return self.space.integrate(_field_values(self.space, coeffs, self.p)[0])
@@ -489,7 +537,7 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
         temporal = _matvec(a0, dot_vals) - self.model.source(u, du, self.x_quad, t)
         return self.space.assemble_rows(temporal, flux)
 
-    def iteration_matrix(self, c_dot, c_u, v_dot, v, t):
+    def iteration_matrix(self, c_dot, c_u, v_dot, v, t, out=None):
         vals, derivs = _field_values(self.space, v, self.p)
         dot_vals, _ = _field_values(self.space, v_dot, self.p)
         self._check(vals)
@@ -497,7 +545,7 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
         h, df_val, df_der = self._flux_blocks(vals, derivs, conserved, t)
         h_vdot = np.einsum("...jkl,...k->...jl", h, dot_vals)
         return self.space.assemble_matrix(c_dot * conserved[0] + c_u * h_vdot,
-                                          c_u * df_val, c_u * df_der)
+                                          c_u * df_val, c_u * df_der, out=out)
 
 
 class _Iterate(NamedTuple):
@@ -533,7 +581,8 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         Û- = Û(V_n, V̇_n) depends on the step's start alone and is computed
         once per step.  Each iterate's fields (`_Iterate`) and their
         admissibility check, jointly with V_n's, are computed once for the
-        residual and the Jacobian at that iterate.
+        residual and the Jacobian at that iterate.  The Jacobians are built
+        in the system's one buffer.
         """
         af, g = params.alpha_f, params.gamma
         shift = (af - 0.5) * dt
@@ -579,7 +628,8 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
 
     def step_jacobian(self, it: _Iterate, dt: float, t_af: float,
                       params: GenAlphaParams):
-        """Exact derivative of `step_residual` in V̇_{n+1} (chain rule incl. H)."""
+        """Exact derivative of `step_residual` in V̇_{n+1} (chain rule incl. H),
+        built in the system's Jacobian buffer."""
         af, g = params.alpha_f, params.gamma
         shift = af - 0.5
         h_w = np.einsum("...jkl,...k->...jl",
@@ -588,4 +638,5 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         _, df_val, df_der = self._flux_blocks(it.v_af, it.dv_af, it.conserved_af,
                                               t_af)
         c_u = af * g * dt  # dV_af/dW
-        return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der)
+        return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der,
+                                          out=self._jacobian_buffer())

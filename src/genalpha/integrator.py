@@ -15,6 +15,7 @@ structure for diagnostics and balance-law audits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
@@ -142,9 +143,13 @@ class ResidualSystem(Protocol):
     residual is `residual`, and the Jacobian `iteration_matrix`, at the
     generalized-alpha blend of w.  Newton calls the residual and then the
     Jacobian at one iterate with the same array, so both may share work
-    done for it.  `step` returns U_{n+1} = `_update_base(state_n, dt,
-    gamma)` + dt*gamma*U̇_{n+1}; a step problem that needs U_{n+1} as a
-    function of w forms it the same way, so the two agree bit for bit.
+    done for it.  A step problem may build every Jacobian into one buffer of
+    its system: each is then valid until that system's next Jacobian call,
+    which is how `_newton` uses it (one solve, then the next iterate), and
+    one system must not be stepped from two threads at once.  `step`
+    returns U_{n+1} = `_update_base(state_n, dt, gamma)` + dt*gamma*U̇_{n+1};
+    a step problem that needs U_{n+1} as a function of w forms it the same
+    way, so the two agree bit for bit.
     A system sets `requires_shifted_midpoint = True` if it holds only
     where the scheme is a shifted midpoint rule: second-order
     parameters on a uniform time mesh.  `residual` and `iteration_matrix`
@@ -259,7 +264,9 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
             raise NewtonConvergenceError(
                 f"Newton failed to converge in {settings.max_iters} iterations; "
                 f"residual norms {norms}", norms)
-        x = x - _solve(jacobian(x), r)   # frees J before the next one is built
+        # J is used for this one solve: the next Jacobian call may build
+        # the next J in the same buffer, or free this one first
+        x = x - _solve(jacobian(x), r)
         r = residual(x)
         norms.append(float(np.abs(r).max()))
 
@@ -289,20 +296,24 @@ def _update_base(state_n: StatePair, dt: float, gamma: float) -> np.ndarray:
 
 
 def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
-                          dt: float, params: GenAlphaParams, u_base: np.ndarray
+                          dt: float, params: GenAlphaParams, u_base: np.ndarray,
+                          out: np.ndarray | None = None
                           ) -> tuple[Callable, Callable]:
     """The default step problem: R at the generalized-alpha blend of w.
 
     The residual is R(U̇_{n+am}, U_{n+af}, t_{n+af}) and the Jacobian
     alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, both as functions of
     w = U̇_{n+1}; one iterate's blend is computed once for both.  `u_base`
-    is `step`'s `_update_base`.
+    is `step`'s `_update_base`.  Given `out`, every Jacobian is built in
+    it by `iteration_matrix(..., out=out)`.
     """
     am, af, g = params.alpha_m, params.alpha_f, params.gamma
     u_n, v_n = state_n.u, state_n.u_dot
     t_af = state_n.t + af * dt
     v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
     dt_g, c_u = dt * g, af * g * dt
+    matrix = (system.iteration_matrix if out is None
+              else functools.partial(system.iteration_matrix, out=out))
 
     @_reuse_last
     def blend(v):
@@ -313,7 +324,7 @@ def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
         return system.residual(*blend(v), t_af)
 
     def jac(v):
-        return system.iteration_matrix(am, c_u, *blend(v), t_af)
+        return matrix(am, c_u, *blend(v), t_af)
     return res, jac
 
 

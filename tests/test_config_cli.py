@@ -73,7 +73,8 @@ class TestParseConfig:
             parse_config(text)
 
     def test_two_dt_forms_rejected(self):
-        text = MINIMAL_SWEEP + "[integrator]\ndt = 0.1\ndt_list = 0.1,0.05,0.025\n"
+        text = ("[experiment]\nname = conslaw-balance\n"
+                "[integrator]\ndt = 0.1\ndt_schedule = 0.1,0.05\n")
         with pytest.raises(ConfigurationError, match="mutually exclusive"):
             parse_config(text)
 
@@ -99,7 +100,9 @@ class TestParseConfig:
         ("integrator", "t_final", "0"),
     ])
     def test_zero_is_rejected_not_defaulted(self, section, key, value):
-        text = ("[experiment]\nname = ode-convergence\n"
+        # an experiment that reads the key
+        name = {"spatial": "conslaw-balance", "integrator": "ode-convergence"}
+        text = (f"[experiment]\nname = {name[section]}\n"
                 f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigurationError, match=f"line 4: {key} must be"):
             parse_config(text)
@@ -143,6 +146,26 @@ OUT_OF_RANGE_CONFIGS = {
                       "[spatial]\nforcing =\n", 4),
     "directory-empty": ("[experiment]\nname = conslaw-balance\n"
                         "[output]\ndirectory =\n", 4),
+    # a key the experiment does not read is rejected, not ignored
+    "ode-convergence-dt": ("[experiment]\nname = ode-convergence\n"
+                           "[integrator]\ndt = 0.01\n", 4),
+    "ode-convergence-dt_schedule": ("[experiment]\nname = ode-convergence\n"
+                                    "[integrator]\ndt_schedule = 0.1,0.05\n",
+                                    4),
+    "conslaw-dt_list": ("[experiment]\nname = conslaw-balance\n"
+                        "[integrator]\ndt_list = 0.1,0.05\n", 4),
+    "advdiff-dt_list": ("[experiment]\nname = advdiff-balance\n"
+                        "[integrator]\ndt_list = 0.1,0.05\n", 4),
+    "compare-dt_list": ("[experiment]\nname = nonconservative-compare\n"
+                        "[integrator]\ndt_list = 0.1,0.05\n", 4),
+    "identity-dt_list": ("[experiment]\nname = second-order-identity\n"
+                         "[integrator]\ndt_list = 0.1,0.05\n", 4),
+    "advdiff-model": ("[experiment]\nname = advdiff-balance\nmodel = euler\n"
+                      "[spatial]\ngamma_gas = 3\n", 3),
+    "burgers-gamma_gas": ("[experiment]\nname = conslaw-balance\n"
+                          "model = burgers\n[spatial]\ngamma_gas = 1.4\n", 5),
+    "sweep-n_steps": ("[experiment]\nname = amplification-sweep\n"
+                      "[integrator]\nn_steps = 10\n", 4),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -781,6 +783,32 @@ class TestAssembleMatrix:
         assert got.shape == (n * p, n * p)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_out_matches_add_at_scatter_bitwise(self, n, p):
+        # every entry of `out` is written, whatever it held before
+        rng = np.random.default_rng(n * 10 + p + 5)
+        space = PeriodicFemSpace(n)
+        full = (n, 3, p, p)
+        cases = [
+            # the conserved system's c_dot*eye, a (p, p) block
+            (0.8 * np.eye(p), rng.normal(size=full), rng.normal(size=full),
+             rng.normal(size=full)),
+            # project_periodic's mass matrix: scalar 0.0 and (n, 3, 1, 1)
+            (np.ones((n, 3, 1, 1)), 0.0, 0.0, None),
+            tuple(rng.normal(size=full) for _ in range(4)),
+        ]
+        for t_val, f_val, f_der, t_der in cases:
+            shape = np.broadcast_shapes(np.shape(t_val), np.shape(f_val),
+                                        np.shape(f_der), (n, 3, 1, 1))
+            out = np.full((n * shape[-1],) * 2, np.nan)
+            got = space.assemble_matrix(t_val, f_val, f_der, t_der=t_der, out=out)
+            want = add_at_assemble(
+                space, *(np.broadcast_to(b, shape) for b in
+                         (t_val, f_val, f_der, 0.0 if t_der is None else t_der)))
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+
 
 class _CountingMap(PressurePrimitiveMap):
     """Records the points each conserved-state and Jacobian call sees."""
@@ -833,9 +861,125 @@ class TestModifiedStepProblem:
         w = 0.1 * RNG.normal(size=v0.size)
         r1, j1 = system.step_problem(state, 1e-2, params)
         r2, j2 = system.step_problem(state, 1e-2, params)
-        first = (r1(w), j1(w))
-        second = (j2(w), r2(w))[::-1]
+        # each Jacobian is copied out of the system's buffer before the next
+        first = (r1(w), j1(w).copy())
+        second = (j2(w).copy(), r2(w))[::-1]
         alone = (system.step_problem(state, 1e-2, params)[0](w),
                  system.step_problem(state, 1e-2, params)[1](w))
         for a, b, c in zip(first, second, alone):
             assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+class _FreshMatrices:
+    """A system's residual and iteration matrix without its step problem,
+    so `step` solves `_blended_step_problem` with a new matrix per call."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def dimension(self):
+        return self.system.dimension()
+
+    def residual(self, u_dot, u, t):
+        return self.system.residual(u_dot, u, t)
+
+    def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
+        return self.system.iteration_matrix(c_dot, c_u, u_dot, u, t)
+
+
+def _burgers_viscous_source():
+    return ConservedSystem(PeriodicFemSpace(16), Burgers1D(
+        0.02, lambda x, t: np.sin(2 * np.pi * x) * np.cos(t)))
+
+
+def _euler_conserved_64():
+    return ConservedSystem(PeriodicFemSpace(64), Euler1D(GAS))
+
+
+def _standard_primitive():
+    return NonconservativeSystem(PeriodicFemSpace(16), Euler1D(GAS),
+                                 PressurePrimitiveMap(GAS, 1.0))
+
+
+def _modified_primitive():
+    return ModifiedNonconservativeSystem(PeriodicFemSpace(16), Euler1D(GAS),
+                                         PressurePrimitiveMap(GAS, 1.0))
+
+
+def _initial(system):
+    if isinstance(system, NonconservativeSystem):
+        return system.project(ic_primitive)
+    if system.p == 3:
+        return system.project(ic_conserved)
+    return system.project(lambda x: np.array([0.1 * np.sin(2 * np.pi * x)]))
+
+
+BUILDERS = {"burgers-viscous-source": _burgers_viscous_source,
+            "euler-conserved-64": _euler_conserved_64,
+            "standard-primitive": _standard_primitive,
+            "modified-primitive": _modified_primitive}
+
+
+class TestJacobianBuffer:
+    """Each system builds its step-problem Jacobians in one (m, m) buffer."""
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    def test_public_iteration_matrix_is_new_and_kept(self, build):
+        system = build()
+        u = _initial(system)
+        u_dot = 0.01 * RNG.normal(size=u.size)
+        first = system.iteration_matrix(0.8, 1e-3, u_dot, u, 0.0)
+        kept = first.copy()
+        state = StatePair(u, consistent_initial_rate(system, u), 0.0)
+        step(system, state, 1e-3, params_from_rho_inf(0.5))
+        second = system.iteration_matrix(0.5, 2e-3, 2.0 * u_dot, u, 0.1)
+        assert second is not first
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    def test_step_problem_jacobians_share_one_buffer(self, build):
+        system = build()
+        u = _initial(system)
+        state = StatePair(u, consistent_initial_rate(system, u), 0.0)
+        params = params_from_rho_inf(0.5)
+        jacobians = []
+        for dt in (1e-3, 2e-3):
+            _, jacobian = system.step_problem(state, dt, params)
+            for scale in (0.0, 0.01):
+                jacobians.append(jacobian(scale * np.ones(u.size)))
+        assert jacobians[0].shape == (system.m, system.m)
+        assert all(j is jacobians[0] for j in jacobians)
+
+    @pytest.mark.parametrize("build", [_euler_conserved_64,
+                                       _burgers_viscous_source,
+                                       _standard_primitive],
+                             ids=["euler-conserved-64", "burgers-viscous-source",
+                                  "standard-primitive"])
+    def test_buffered_steps_equal_fresh_matrix_steps_bitwise(self, build):
+        system = build()
+        u = _initial(system)
+        state = StatePair(u, consistent_initial_rate(system, u), 0.0)
+        params = params_from_rho_inf(0.4)
+        newton = NewtonSettings(abs_tol=1e-13, rel_tol=1e-13, max_iters=40)
+        buffered = integrate(system, state, [1e-3] * 4, params, newton)
+        fresh = integrate(_FreshMatrices(system), state, [1e-3] * 4, params,
+                          newton)
+        for a, b in zip(buffered, fresh):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.u_dot.tobytes() == b.u_dot.tobytes()
+
+    def test_warm_step_allocates_less_than_one_matrix(self):
+        # Euler at n = 128 (m = 384): the step's Jacobians reuse the buffer
+        # made at the first step, so no (m, m) array is allocated after it
+        system = ConservedSystem(PeriodicFemSpace(128), Euler1D(GAS))
+        u = system.project(ic_conserved)
+        state = StatePair(u, consistent_initial_rate(system, u), 0.0)
+        params = params_from_rho_inf(0.5)
+        state = step(system, state, 1e-3, params)
+        tracemalloc.start()
+        try:
+            step(system, state, 1e-3, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < system.m * system.m * 8
