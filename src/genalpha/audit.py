@@ -74,11 +74,11 @@ class BalanceLedger:
 
         u_af = (1.0 - af) * state_n.u + af * state_np1.u
         t_af = state_n.t + af * dt
-        minus_vec = shifted_state(state_n, dt, af, "minus")
+        minus_vec = shifted_state(state_n, dt, af)
         mismatch = 0.0
         if self._prev_plus_vec is not None:
             mismatch = float(np.linalg.norm(minus_vec - self._prev_plus_vec, np.inf))
-        self._prev_plus_vec = shifted_state(state_np1, dt, af, "plus")
+        self._prev_plus_vec = shifted_state(state_np1, dt, af)
 
         self.entries.append(LedgerEntry(
             step=self.n_begin + len(self.entries),

@@ -1,12 +1,24 @@
-"""INI-style experiment configuration: [section] headers, key = value, # comments."""
+"""INI-style experiment configuration: [section] headers, key = value, # comments.
+
+`parse_config` checks each value with the code that consumes it, such as
+`params_from_rho_inf`, `_check_dt`, `AdvDiffConfig`, `Euler1D`,
+`ladder_steps` or `require_shifted_midpoint`, and reports its `ValueError`
+with the value's line.  Only rules that no library code owns live here: the
+format, which keys apply, exclusive forms and the `_rule`s of `_CHECKS`.
+Every default lives in `ExperimentConfig`.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .advdiff import AdvDiffConfig
+from .conslaw import Euler1D, ModifiedNonconservativeSystem
 from .errors import ConfigurationError
-from .integrator import GenAlphaParams, make_params, params_from_rho_inf
+from .integrator import (GenAlphaParams, _check_dt, make_params,
+                         params_from_rho_inf, require_shifted_midpoint)
+from .linear_analysis import ladder_steps
 
 EXPERIMENTS = ("ode-convergence", "amplification-sweep", "advdiff-balance",
                "conslaw-balance", "nonconservative-compare",
@@ -37,10 +49,12 @@ _READS = {
     "nonconservative-compare": _STEPS + ("n_elements", "amplitude", "gamma_gas"),
     "second-order-identity": _STEPS,
 }
-_READ_BY_ALL = ("name", "rho_inf", "alpha_m", "alpha_f", "gamma", "directory",
-                "csv")
+_TRIPLE = ("alpha_m", "alpha_f", "gamma")
+_READ_BY_ALL = ("name", "rho_inf") + _TRIPLE + ("directory", "csv")
 
 _DEFAULT_DT_LIST = (0.1, 0.05, 0.025, 0.0125)
+# keys whose ExperimentConfig field has another name
+_FIELDS = {"name": "experiment", "directory": "out_dir", "csv": "write_csv"}
 
 
 @dataclass(frozen=True)
@@ -75,46 +89,88 @@ class ExperimentConfig:
 
     def step_sizes(self) -> list[float]:
         """Per-step dt schedule for run-style experiments."""
-        if self.dt_schedule is not None:
-            if self.schedule_repeats:
-                return [self.dt_schedule[i % len(self.dt_schedule)]
-                        for i in range(self.n_steps)]
-            return list(self.dt_schedule)
-        dt = self.dt if self.dt is not None else 1e-3
-        return [dt] * self.n_steps
+        if self.dt_schedule is None:
+            return [self.dt if self.dt is not None else 1e-3] * self.n_steps
+        if self.schedule_repeats:
+            return [self.dt_schedule[i % len(self.dt_schedule)]
+                    for i in range(self.n_steps)]
+        return list(self.dt_schedule)
 
 
-def _convert(kind: str, raw: str, where: str):
+def _schedule(raw: str):
+    """(steps, repeats) of `dt_schedule = 0.001,0.002[,repeat]`."""
+    tokens = [tok.strip() for tok in raw.split(",")]
+    repeats = tokens[-1] == "repeat"
+    steps = tuple(float(tok) for tok in (tokens[:-1] if repeats else tokens))
+    if not steps:
+        raise ValueError("empty schedule")
+    return steps, repeats
+
+
+# kind -> parser of the raw text, raising ValueError or KeyError
+_PARSE = {"str": str, "float": float, "int": int,
+          "bool": lambda raw: {"true": True, "false": False}[raw.lower()],
+          "floats": lambda raw: tuple(float(tok) for tok in raw.split(",")),
+          "schedule": _schedule}
+
+
+def _rule(holds, message: str):
+    """A check that raises ValueError(message) unless `holds(value)`."""
+    def check(value):
+        if not holds(value):
+            raise ValueError(message)
+    return check
+
+
+def _each_dt(dts) -> None:
+    for dt in dts:
+        _check_dt(dt)
+
+
+# key -> check of its value alone, raising ValueError
+_CHECKS = {
+    "model": _rule(("burgers", "euler").__contains__,
+                   "model must be 'burgers' or 'euler'"),
+    "stabilization": _rule(("none", "supg").__contains__,
+                           "stabilization must be 'none' or 'supg'"),
+    "forcing": _rule(("none", "unit").__contains__,
+                     "forcing must be 'none' or 'unit'"),
+    "directory": _rule(bool, "directory must not be empty"),
+    "n_steps": _rule(lambda n: n >= 1, "n_steps must be >= 1"),
+    "n_elements": _rule(lambda n: n >= 2, "n_elements must be >= 2"),
+    "t_final": _rule(lambda t: 0.0 < t < math.inf,
+                     "t_final must be finite and > 0"),
+    "amplitude": _rule(math.isfinite, "amplitude must be finite"),
+    "rho_inf": params_from_rho_inf,
+    "dt": _check_dt,
+    "dt_list": _each_dt,
+    "dt_schedule": lambda schedule: _each_dt(schedule[0]),  # (steps, repeats)
+    "a": lambda a: AdvDiffConfig(a=a),
+    "kappa": lambda kappa: AdvDiffConfig(kappa=kappa),
+    "gamma_gas": Euler1D,
+}
+# the Euler runs' initial density and pressure are 1 + amplitude*sin(...)
+_EULER_CHECKS = {**_CHECKS, "amplitude": _rule(
+    lambda amplitude: abs(amplitude) < 1.0,
+    "|amplitude| must be < 1 for Euler runs")}
+
+
+def _error(lineno: int, message: str) -> ConfigurationError:
+    return ConfigurationError(f"line {lineno}: {message}")
+
+
+def _at(lineno: int, check, *args) -> None:
+    """`check(*args)`, its ValueError raised with the line it concerns."""
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = int(raw)
-            return value
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "false"):
-                return lowered == "true"
-            raise ValueError(raw)
-        if kind == "floats":
-            return tuple(float(tok) for tok in raw.split(","))
-        if kind == "schedule":
-            tokens = [tok.strip() for tok in raw.split(",")]
-            repeats = tokens and tokens[-1] == "repeat"
-            if repeats:
-                tokens = tokens[:-1]
-            if not tokens:
-                raise ValueError("empty schedule")
-            return tuple(float(tok) for tok in tokens), repeats
-        return raw
-    except ValueError:
-        raise ConfigurationError(f"{where}: cannot parse {raw!r} as {kind}")
+        check(*args)
+    except ValueError as exc:
+        raise _error(lineno, str(exc)) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config; errors carry the offending line number."""
-    values: dict[tuple[str, str], object] = {}
-    lines: dict[tuple[str, str], int] = {}
+    """Parse and check a config; errors carry the offending line number."""
+    values: dict[str, object] = {}  # keys are unique across sections
+    lines: dict[str, int] = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -123,180 +179,77 @@ def parse_config(text: str) -> ExperimentConfig:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SCHEMA:
-                raise ConfigurationError(f"line {lineno}: unknown section "
-                                         f"[{section}]")
+                raise _error(lineno, f"unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected key = value, "
-                                     f"got {line!r}")
+            raise _error(lineno, f"expected key = value, got {line!r}")
         if section is None:
-            raise ConfigurationError(f"line {lineno}: key outside any [section]")
+            raise _error(lineno, "key outside any [section]")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r} in "
-                                     f"[{section}]")
-        if (section, key) in values:
-            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        values[(section, key)] = _convert(_SCHEMA[section][key], raw,
-                                          f"line {lineno}")
-        lines[(section, key)] = lineno
+            raise _error(lineno, f"unknown key {key!r} in [{section}]")
+        if key in values:
+            raise _error(lineno, f"duplicate key {key!r}")
+        kind = _SCHEMA[section][key]
+        try:
+            values[key] = _PARSE[kind](raw)
+        except (ValueError, KeyError):
+            raise _error(lineno, f"cannot parse {raw!r} as {kind}") from None
+        lines[key] = lineno
 
-    def got(section_key):
-        return values.get(section_key)
-
-    def line_of(section_key):
-        return lines.get(section_key, 0)
-
-    name = got(("experiment", "name"))
+    name = values.get("name")
     if name is None:
         raise ConfigurationError("missing required key 'name' in [experiment]")
     if name not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"line {line_of(('experiment', 'name'))}: unknown experiment "
-            f"{name!r}; choose from {', '.join(EXPERIMENTS)}")
-    model = _or(got(("experiment", "model")), "burgers")
+        raise _error(lines["name"], f"unknown experiment {name!r}; choose from "
+                                    f"{', '.join(EXPERIMENTS)}")
+    model = values.get("model", ExperimentConfig.model)
     reads, runner = _READ_BY_ALL + _READS[name], name
     if name == "conslaw-balance":
         runner += f" with model = {model}"
         if model == "euler":
             reads += ("gamma_gas",)
-    for (_, key), lineno in lines.items():  # in line order
+    checks = (_EULER_CHECKS if name == "nonconservative-compare"
+              or model == "euler" else _CHECKS)
+    for key, value in values.items():  # in line order
         if key not in reads:
-            raise ConfigurationError(
-                f"line {lineno}: key {key!r} does not apply to {runner}")
+            raise _error(lines[key], f"key {key!r} does not apply to {runner}")
+        if key in checks:
+            _at(lines[key], checks[key], value)
 
-    rho_inf = got(("integrator", "rho_inf"))
-    if rho_inf is not None and not 0.0 <= rho_inf <= 1.0:
-        raise ConfigurationError(
-            f"line {line_of(('integrator', 'rho_inf'))}: rho_inf must be "
-            f"finite and lie in [0, 1]")
-    triple = {k: got(("integrator", k)) for k in ("alpha_m", "alpha_f", "gamma")}
-    triple_given = [k for k, v in triple.items() if v is not None]
-    if rho_inf is not None and triple_given:
-        offender = ("integrator", triple_given[0])
-        raise ConfigurationError(
-            f"line {line_of(offender)}: rho_inf and explicit "
-            f"(alpha_m, alpha_f, gamma) are mutually exclusive")
-    if triple_given and len(triple_given) != 3:
-        missing = sorted(set(triple) - set(triple_given))
-        raise ConfigurationError(
-            f"line {line_of(('integrator', triple_given[0]))}: explicit "
-            f"parameters need alpha_m, alpha_f and gamma; missing {missing}")
-
-    dt_forms = [k for k in ("dt", "dt_list", "dt_schedule")
-                if got(("integrator", k)) is not None]
+    triple = [key for key in values if key in _TRIPLE]
+    triple_line = lines[triple[0]] if triple else 0
+    if triple and "rho_inf" in values:
+        raise _error(triple_line, "rho_inf and explicit (alpha_m, alpha_f, "
+                                  "gamma) are mutually exclusive")
+    if triple and len(triple) != 3:
+        raise _error(triple_line, "explicit parameters need alpha_m, alpha_f "
+                     f"and gamma; missing {sorted(set(_TRIPLE) - set(triple))}")
+    dt_forms = [key for key in values if key in ("dt", "dt_list", "dt_schedule")]
     if len(dt_forms) > 1:
-        offender = ("integrator", dt_forms[1])
-        raise ConfigurationError(
-            f"line {line_of(offender)}: dt, dt_list and dt_schedule are "
-            f"mutually exclusive")
-    for key in dt_forms:
-        entries = got(("integrator", key))
-        if key == "dt":
-            entries = (entries,)
-        elif key == "dt_schedule":
-            entries = entries[0]  # (steps, repeats)
-        if not all(math.isfinite(dt) and dt > 0.0 for dt in entries):
-            raise ConfigurationError(
-                f"line {line_of(('integrator', key))}: {key} must be finite "
-                f"and > 0")
+        raise _error(lines[dt_forms[1]],
+                     "dt, dt_list and dt_schedule are mutually exclusive")
 
-    if model not in ("burgers", "euler"):
-        raise ConfigurationError(
-            f"line {line_of(('experiment', 'model'))}: unknown model {model!r}")
-    stabilization = _or(got(("spatial", "stabilization")), "none")
-    if stabilization not in ("none", "supg"):
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'stabilization'))}: stabilization must "
-            f"be 'none' or 'supg'")
-    forcing = _or(got(("spatial", "forcing")), "none")
-    if forcing not in ("none", "unit"):
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'forcing'))}: forcing must be 'none' "
-            f"or 'unit'")
+    # the keys given, plus what they imply; ExperimentConfig has the defaults
+    fields = {_FIELDS.get(key, key): value for key, value in values.items()}
+    if "dt_schedule" in values:
+        fields["dt_schedule"], fields["schedule_repeats"] = values["dt_schedule"]
+        if not fields["schedule_repeats"]:
+            fields.setdefault("n_steps", len(fields["dt_schedule"]))
+    if triple:
+        fields["rho_inf"] = None
+    if name == "ode-convergence":
+        fields.setdefault("dt_list", _DEFAULT_DT_LIST)
+    config = ExperimentConfig(**fields)
 
-    schedule = got(("integrator", "dt_schedule"))
-    dt_schedule, repeats = (schedule if schedule is not None else (None, False))
-
-    dt_list = got(("integrator", "dt_list"))
-    if name == "ode-convergence" and dt_list is None:
-        dt_list = _DEFAULT_DT_LIST
-    if dt_list is not None and not all(x > y for x, y in zip(dt_list, dt_list[1:])):
-        raise ConfigurationError(
-            f"line {line_of(('integrator', 'dt_list'))}: dt_list must be "
-            f"strictly decreasing")
-
-    n_steps = got(("integrator", "n_steps"))
-    if n_steps is None:
-        n_steps = 100
-        if dt_schedule is not None and not repeats:
-            n_steps = len(dt_schedule)
-    if n_steps < 1:
-        raise ConfigurationError(
-            f"line {line_of(('integrator', 'n_steps'))}: n_steps must be >= 1")
-
-    n_elements = _or(got(("spatial", "n_elements")), 32)
-    if n_elements < 2:
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'n_elements'))}: n_elements must be >= 2")
-
-    t_final = _or(got(("integrator", "t_final")), 1.0)
-    if not t_final > 0.0:
-        raise ConfigurationError(
-            f"line {line_of(('integrator', 't_final'))}: t_final must be > 0")
-
-    kappa = _or(got(("spatial", "kappa")), 0.01)
-    if name == "advdiff-balance" and not (math.isfinite(kappa) and kappa > 0.0):
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'kappa'))}: kappa must be finite and > 0")
-    a = _or(got(("spatial", "a")), 1.0)
-    if name == "advdiff-balance" and not math.isfinite(a):
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'a'))}: a must be finite")
-
-    # the Euler runs' initial density and pressure are 1 + amplitude*sin(...)
-    amplitude = _or(got(("spatial", "amplitude")), 0.1)
-    euler = (name == "nonconservative-compare"
-             or (name == "conslaw-balance" and model == "euler"))
-    if euler and not abs(amplitude) < 1.0:
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'amplitude'))}: |amplitude| must be "
-            f"< 1 for Euler runs")
-    gamma_gas = _or(got(("spatial", "gamma_gas")), 1.4)
-    if euler and not (math.isfinite(gamma_gas) and gamma_gas > 1.0):
-        raise ConfigurationError(
-            f"line {line_of(('spatial', 'gamma_gas'))}: gamma_gas must be "
-            f"finite and > 1 for Euler runs")
-    out_dir = _or(got(("output", "directory")), "out")
-    if not out_dir:
-        raise ConfigurationError(
-            f"line {line_of(('output', 'directory'))}: directory must not be "
-            f"empty")
-
-    return ExperimentConfig(
-        experiment=name,
-        model=model,
-        rho_inf=(rho_inf if rho_inf is not None
-                 else (None if triple_given else 0.5)),
-        alpha_m=triple["alpha_m"], alpha_f=triple["alpha_f"],
-        gamma=triple["gamma"],
-        dt=got(("integrator", "dt")),
-        dt_list=dt_list,
-        dt_schedule=dt_schedule,
-        schedule_repeats=repeats,
-        n_steps=n_steps,
-        t_final=t_final,
-        n_elements=n_elements,
-        a=a,
-        kappa=kappa,
-        gamma_gas=gamma_gas,
-        amplitude=amplitude,
-        stabilization=stabilization,
-        forcing=forcing,
-        out_dir=out_dir,
-        write_csv=_or(got(("output", "csv")), True),
-    )
-
-
-def _or(value, default):
-    return default if value is None else value
+    if triple:
+        _at(triple_line, config.params)
+    if name == "ode-convergence":
+        _at(lines.get("dt_list", lines.get("t_final", 0)), ladder_steps,
+            config.t_final, config.dt_list)
+    if name == "nonconservative-compare":  # what its modified scheme admits
+        modified = (require_shifted_midpoint, ModifiedNonconservativeSystem,
+                    config.params())
+        _at(triple_line, *modified, ())  # the parameters are checked first
+        _at(lines.get("dt_schedule", 0), *modified, config.step_sizes())
+    return config

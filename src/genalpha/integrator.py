@@ -205,6 +205,27 @@ def _check_dt(dt) -> None:
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
+def require_shifted_midpoint(system, params: GenAlphaParams,
+                             dts: Sequence[float]) -> None:
+    """Refuse parameters or a dt schedule that `system` does not admit.
+
+    A system (or system class) with `requires_shifted_midpoint` holds only
+    where the scheme is a shifted midpoint rule: it needs second-order
+    parameters, checked first, and a uniform schedule.
+    """
+    if not getattr(system, "requires_shifted_midpoint", False):
+        return
+    name = (system if isinstance(system, type) else type(system)).__name__
+    if not params.is_second_order():
+        raise ConfigurationError(
+            f"{name} requires second-order parameters "
+            f"(gamma = 1/2 + alpha_m - alpha_f); got {params}")
+    if any(abs(dt - dts[0]) > _REL_DT_TOL * abs(dts[0]) for dt in dts):
+        raise ConfigurationError(
+            f"{name} is only conservative on a uniform time mesh; got a "
+            f"nonuniform dt schedule")
+
+
 def _solve(matrix, b: np.ndarray) -> np.ndarray:
     """`matrix.solve(b)` when the matrix provides one; a real 1x1 system by
     division; else a dense LAPACK solve.
@@ -340,11 +361,7 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     U_{n+1} = U_n + dt*((1-gamma)*U̇_n + gamma*U̇_{n+1}) to rounding.
     """
     _check_dt(dt)
-    if (getattr(system, "requires_shifted_midpoint", False)
-            and not params.is_second_order()):
-        raise ConfigurationError(
-            f"{type(system).__name__} requires second-order parameters "
-            f"(gamma = 1/2 + alpha_m - alpha_f); got {params}")
+    require_shifted_midpoint(system, params, ())
     g = params.gamma
     if g == 0.0:
         raise ValueError("gamma = 0 leaves U̇_{n+1} undetermined")
@@ -370,16 +387,12 @@ def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
     """Run `step` over a per-step dt schedule; returns all states incl. state0.
 
     Each step is recorded into `ledger` (an `audit.BalanceLedger`) when one
-    is given.  A system with `requires_shifted_midpoint` refuses a
-    nonuniform schedule before the first step.  A `NewtonConvergenceError`
+    is given.  `require_shifted_midpoint` checks the parameters and the
+    schedule before the first step.  A `NewtonConvergenceError`
     or `AdmissibilityError` from a step is raised again, same type, with
     the step's index (from 0), t and dt before its message.
     """
-    if (getattr(system, "requires_shifted_midpoint", False)
-            and any(abs(dt - dts[0]) > _REL_DT_TOL * abs(dts[0]) for dt in dts)):
-        raise ConfigurationError(
-            f"{type(system).__name__} is only conservative on a uniform time "
-            f"mesh; got a nonuniform dt schedule")
+    require_shifted_midpoint(system, params, dts)
     states = [state0]
     for dt in dts:
         try:
@@ -391,16 +404,13 @@ def integrate(system: ResidualSystem, state0: StatePair, dts: Sequence[float],
     return states
 
 
-def shifted_state(state: StatePair, dt: float, alpha_f: float,
-                  side: str = "minus") -> np.ndarray:
+def shifted_state(state: StatePair, dt: float, alpha_f: float) -> np.ndarray:
     """Shifted solution U + (alpha_f - 1/2)*dt*U̇ at the given state.
 
-    With the state taken at t_{n+1} this is U+_{n+af} (side="plus"); taken at
-    t_n it is U-_{n+af} (side="minus"), which on a uniform mesh is the
-    shifted-mesh value U_{n+af-1/2}.
+    With the state taken at t_{n+1} this is U+_{n+af}; taken at t_n it is
+    U-_{n+af}, which on a uniform mesh is the shifted-mesh value
+    U_{n+af-1/2}.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     _check_dt(dt)
     return state.u + (alpha_f - 0.5) * dt * state.u_dot
 
@@ -415,8 +425,8 @@ def midpoint_identity_residual(state_n: StatePair, state_np1: StatePair,
     """
     am, af = params.alpha_m, params.alpha_f
     v_am = (1.0 - am) * state_n.u_dot + am * state_np1.u_dot
-    u_plus = shifted_state(state_np1, dt, af, "plus")
-    u_minus = shifted_state(state_n, dt, af, "minus")
+    u_plus = shifted_state(state_np1, dt, af)
+    u_minus = shifted_state(state_n, dt, af)
     return float(np.abs(v_am - (u_plus - u_minus) / dt).max())
 
 

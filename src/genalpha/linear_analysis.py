@@ -72,16 +72,32 @@ class ConvergenceReport:
     def __post_init__(self):
         if len(self.dt_values) != len(self.errors):
             raise ValueError("dt_values and errors must have equal length")
-        if len(self.dt_values) < 3:
-            raise ValueError("need at least 3 dt values")
-        if any(b >= a for a, b in zip(self.dt_values, self.dt_values[1:])):
-            raise ValueError("dt_values must be strictly decreasing")
+        _check_ladder(self.dt_values)
+
+
+def _check_ladder(dt_values: Sequence[float]) -> None:
+    if len(dt_values) < 3:
+        raise ValueError("need at least 3 dt values")
+    if any(b >= a for a, b in zip(dt_values, dt_values[1:])):
+        raise ValueError("dt values must be strictly decreasing")
+
+
+def ladder_steps(t_final: float, dt_values: Sequence[float]) -> list[int]:
+    """Steps each dt takes to t_final in an order study, whose dt ladder
+    needs at least 3 strictly decreasing dts, each dividing t_final."""
+    _check_ladder(dt_values)
+    steps = [round(t_final / dt) for dt in dt_values]
+    for n_steps, dt in zip(steps, dt_values):
+        if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+            raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
+    return steps
 
 
 def observed_order(system, t_final: float, dt_values: Sequence[float],
                    params: GenAlphaParams,
                    newton: NewtonSettings = NewtonSettings()) -> ConvergenceReport:
-    """Integrate to t_final for each dt and fit the error slope.
+    """Integrate to t_final for each dt of a `ladder_steps` ladder and fit
+    the error slope.
 
     The system must expose an `exact(t)` solution.  Errors at the rounding
     floor (below 1e3*eps*max(1, |exact|)) are excluded from the least-squares
@@ -90,10 +106,7 @@ def observed_order(system, t_final: float, dt_values: Sequence[float],
     dt_values = tuple(float(dt) for dt in dt_values)
     u_ref = np.atleast_1d(system.exact(t_final))
     errors = []
-    for dt in dt_values:
-        n_steps = round(t_final / dt)
-        if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-            raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
+    for dt, n_steps in zip(dt_values, ladder_steps(t_final, dt_values)):
         state0 = StatePair(system.exact(0.0),
                            consistent_initial_rate(system, system.exact(0.0), 0.0,
                                                    newton), 0.0)

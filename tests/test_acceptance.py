@@ -24,7 +24,8 @@ from genalpha.conslaw import (Burgers1D, ConservedSystem, Euler1D,
 from genalpha.conslaw import stabilization_form as system_stabilization_form
 from genalpha.linear_analysis import (amplification_matrix, observed_order,
                                       spectral_radius)
-from genalpha.odes import GenericFirstOrder, HarmonicOscillator, ScalarLinear
+from genalpha.odes import HarmonicOscillator, ScalarLinear
+from model_systems import GenericFirstOrder
 
 LEDGER_NEWTON = NewtonSettings(abs_tol=1e-13, rel_tol=1e-13, max_iters=40)
 

@@ -166,6 +166,25 @@ OUT_OF_RANGE_CONFIGS = {
                           "model = burgers\n[spatial]\ngamma_gas = 1.4\n", 5),
     "sweep-n_steps": ("[experiment]\nname = amplification-sweep\n"
                       "[integrator]\nn_steps = 10\n", 4),
+    # checked by the code that consumes the value, as `run` checks it
+    "triple-nan": ("[experiment]\nname = ode-convergence\n[integrator]\n"
+                   "alpha_m = nan\nalpha_f = 0.5\ngamma = 0.5\n", 4),
+    "triple-inf": ("[experiment]\nname = second-order-identity\n[integrator]\n"
+                   "alpha_m = inf\nalpha_f = 0.7\ngamma = 0.7\n", 4),
+    "t_final-inf": ("[experiment]\nname = ode-convergence\n"
+                    "[integrator]\nt_final = inf\n", 4),
+    "burgers-amplitude-inf": ("[experiment]\nname = conslaw-balance\n"
+                              "[spatial]\namplitude = inf\n", 4),
+    "dt_list-two-dts": ("[experiment]\nname = ode-convergence\n"
+                        "[integrator]\ndt_list = 0.1,0.05\n", 4),
+    "dt_list-not-dividing": ("[experiment]\nname = ode-convergence\n"
+                             "[integrator]\ndt_list = 0.3,0.2,0.1\n", 4),
+    "compare-nonuniform": ("[experiment]\nname = nonconservative-compare\n"
+                           "[integrator]\nn_steps = 4\n"
+                           "dt_schedule = 0.001,0.002,repeat\n", 5),
+    "compare-not-second-order": ("[experiment]\nname = nonconservative-compare\n"
+                                 "[integrator]\nn_steps = 2\nalpha_m = 0.9\n"
+                                 "alpha_f = 0.7\ngamma = 0.6\n", 5),
 }
 
 

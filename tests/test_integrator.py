@@ -11,8 +11,8 @@ from genalpha import (AdmissibilityError, GenAlphaParams,
                       step_second_order)
 from genalpha.advdiff import Tridiagonal
 from genalpha.integrator import _solve
-from genalpha.odes import (GenericFirstOrder, HarmonicOscillator, PureDrift,
-                           ScalarLinear, SecondOrderDrift)
+from genalpha.odes import HarmonicOscillator, ScalarLinear
+from model_systems import GenericFirstOrder, PureDrift, SecondOrderDrift
 
 
 def logistic():
@@ -236,32 +236,27 @@ class TestStep:
 class TestShiftedState:
     def test_minus_example(self):
         s = StatePair([1.0], [-1.0], 0.0)
-        assert shifted_state(s, 0.1, 1.0, "minus")[0] == pytest.approx(0.95)
+        assert shifted_state(s, 0.1, 1.0)[0] == pytest.approx(0.95)
 
     def test_midpoint_no_shift(self):
         s = StatePair([1.7, -0.3], [2.0, 5.0], 0.0)
-        assert np.array_equal(shifted_state(s, 0.2, 0.5, "plus"), s.u)
+        assert np.array_equal(shifted_state(s, 0.2, 0.5), s.u)
 
     def test_plus_example(self):
         s = StatePair([2.0], [4.0], 0.5)
-        assert shifted_state(s, 0.5, 2.0 / 3.0, "plus")[0] == pytest.approx(7.0 / 3.0)
+        assert shifted_state(s, 0.5, 2.0 / 3.0)[0] == pytest.approx(7.0 / 3.0)
 
     def test_plus_chains_to_next_minus_on_uniform_mesh(self):
+        # U+ of step n and U- of step n+1 are both taken at state_{n+1}, so
+        # on a uniform mesh one shifted value advances by dt*U̇_{n+am}
         p = params_from_rho_inf(0.4)
         states = integrate(ScalarLinear(-1.0), StatePair([1.0], [-1.0], 0.0),
                            [0.05] * 4, p)
         for s_a, s_b in zip(states, states[1:]):
-            assert np.array_equal(shifted_state(s_b, 0.05, p.alpha_f, "plus"),
-                                  shifted_state(s_b, 0.05, p.alpha_f, "minus")
-                                  + 0.0)  # same formula at the same state
-        # U+ at step n is computed from state_{n+1}, as is U- of step n+1
-        plus = shifted_state(states[1], 0.05, p.alpha_f, "plus")
-        minus = shifted_state(states[1], 0.05, p.alpha_f, "minus")
-        assert np.array_equal(plus, minus)
-
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            shifted_state(StatePair([1.0], [0.0], 0.0), 0.1, 0.6, "sideways")
+            v_am = (1.0 - p.alpha_m) * s_a.u_dot + p.alpha_m * s_b.u_dot
+            advance = (shifted_state(s_b, 0.05, p.alpha_f)
+                       - shifted_state(s_a, 0.05, p.alpha_f))
+            assert advance == pytest.approx(0.05 * v_am, rel=1e-13, abs=1e-16)
 
 
 class TestMidpointIdentity:

@@ -1,0 +1,66 @@
+"""What the benchmark in `perfbench/` relies on in the package, checked
+without running it: every config it generates parses, and every callable
+its tracer wraps still exists."""
+
+import functools
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from genalpha.config import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def _perfbench(name):
+    """perfbench/<name>.py, loaded by path; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")),
+                         ids=lambda path: path.name)
+def test_example_config_parses(path):
+    parse_config(path.read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(_perfbench("workloads").WORKLOADS))
+def test_benchmark_configs_parse(workload):
+    for seed in range(20):
+        for run in _perfbench("workloads").build(workload, seed):
+            for text in (run.ini, run.setup_ini):
+                parse_config(text)
+
+
+def _resolves(target):
+    """Whether the tracer would find `module:qualname` to wrap: a module
+    function, or a method that a class defines or inherits."""
+    module_name, qualname = target.split(":")
+    module = importlib.import_module(f"genalpha.{module_name}")
+    owner_name, _, attr = qualname.rpartition(".")
+    if owner_name:
+        cls = getattr(module, owner_name, None)
+        return any(attr in vars(k) for k in getattr(cls, "__mro__", ()))
+    return callable(getattr(module, attr, None))
+
+
+def test_tracer_targets_resolve():
+    tracing = _perfbench("tracing")
+    targets = [t for group in (tracing.SPANS, tracing.COUNTED)
+               for targets in group.values() for t in targets]
+    missing = [t for t in targets + [tracing.NEWTON_TARGET] if not _resolves(t)]
+    # a span or counter all of whose targets are gone reads null
+    assert tracing._missing_sources(missing) == set()
+    module_name, attr = tracing.NEWTON_TARGET.split(":")
+    newton = getattr(importlib.import_module(f"genalpha.{module_name}"), attr)
+    assert list(inspect.signature(newton).parameters)[:2] == ["residual",
+                                                              "jacobian"]
