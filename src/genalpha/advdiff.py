@@ -45,14 +45,13 @@ def _zero(x, t=0.0):
 
 @dataclass(frozen=True)
 class AdvDiffConfig:
-    """Problem data: constant advection a, diffusivity kappa > 0, loads, IC."""
+    """Problem data: constant advection a, diffusivity kappa > 0 and loads."""
 
     a: float = 1.0
     kappa: float = 0.01
     f: Callable | None = None          # body force f(x, t), vectorized in x
     h_in: Callable | None = None       # applied flux at x = 0, function of t
     h_out: Callable | None = None      # applied flux at x = 1, function of t
-    u0: Callable | None = None         # initial condition u0(x)
     stabilization: str = "none"
 
     def __post_init__(self):
@@ -272,8 +271,6 @@ class AdvDiffSystem:
 
     # -- balance-law audit surface -------------------------------------------
 
-    n_balance_components = 1
-
     def total(self, u) -> float:
         """Integral of u^h over the domain, with the residual's mass operator."""
         return float(np.sum(self.mass @ u))
@@ -289,7 +286,9 @@ class AdvDiffSystem:
         return np.array([body + self.h_in(t_alpha_f) + self.h_out(t_alpha_f)])
 
     def balance_outflow(self, u_alpha_f, t_alpha_f: float) -> float:
-        return outflow_flux(self, u_alpha_f, t_alpha_f)
+        """Advective outflow (a*n) u^h summed over boundary points with a*n >= 0."""
+        a = self.config.a
+        return float(sum(a * nrm * u_alpha_f[i] for i, nrm in self._outflow_points))
 
 
 def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
@@ -297,12 +296,6 @@ def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
     x_quad = mesh.nodes[:-1, None] + mesh.dx * np.asarray(_QP)[None, :]
     rhs = _load(mesh.dx, np.asarray(u0(x_quad), dtype=float))
     return _assemble(element_mass(mesh.dx), mesh.n_elements + 1).solve(rhs)
-
-
-def outflow_flux(system: AdvDiffSystem, u, t: float = 0.0) -> float:
-    """Advective outflow (a*n) u^h summed over boundary points with a*n >= 0."""
-    a = system.config.a
-    return float(sum(a * nrm * u[i] for i, nrm in system._outflow_points))
 
 
 def stabilization_form(system: AdvDiffSystem, v, w) -> float:

@@ -10,7 +10,7 @@ and a discretization that admits the law in the first place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +41,19 @@ class LedgerReport:
     table: tuple[tuple, ...]  # rows of (step, t_alpha_f, comp, minus, src, out, drift)
 
 
-@dataclass
 class BalanceLedger:
-    """Accumulates the two sides of a discrete balance law over a run."""
+    """Accumulates the two sides of a discrete balance law over a run.
 
-    n_begin: int = 0
-    entries: list[LedgerEntry] = field(default_factory=list)
-    uniform_dt: bool = True
-    _dt0: float | None = None
-    _second_order: bool = True
-    _admits: bool = True
-    _prev_plus_vec: np.ndarray | None = None
+    Starts empty; entry k of `entries` is the k-th step recorded, from 0.
+    """
+
+    def __init__(self):
+        self.entries: list[LedgerEntry] = []
+        self.uniform_dt = True
+        self._dt0: float | None = None
+        self._second_order = True
+        self._admits = True
+        self._prev_plus_vec: np.ndarray | None = None
 
     @property
     def certified(self) -> bool:
@@ -81,7 +83,7 @@ class BalanceLedger:
         self._prev_plus_vec = shifted_state(state_np1, dt, af)
 
         self.entries.append(LedgerEntry(
-            step=self.n_begin + len(self.entries),
+            step=len(self.entries),
             t_alpha_f=t_af,
             shifted_total_minus=np.asarray(
                 system.shifted_balance_total(state_n, dt, af), dtype=float),

@@ -1,10 +1,11 @@
 """INI-style experiment configuration: [section] headers, key = value, # comments.
 
 `parse_config` checks each value with the code that consumes it, such as
-`params_from_rho_inf`, `_check_dt`, `AdvDiffConfig`, `Euler1D`,
-`ladder_steps` or `require_shifted_midpoint`, and reports its `ValueError`
-with the value's line.  Only rules that no library code owns live here: the
-format, which keys apply, exclusive forms and the `_rule`s of `_CHECKS`.
+`params_from_rho_inf`, `GenAlphaParams`, `_check_dt`, `AdvDiffConfig`,
+`Euler1D`, `ladder_steps` or `require_shifted_midpoint`, and reports its
+`ValueError` with the value's line.  Only rules that no library code owns
+live here: the format, which keys apply, exclusive forms, `n_steps` only
+with a schedule that ends in `repeat`, and the `_rule`s of `_CHECKS`.
 Every default lives in `ExperimentConfig`.
 """
 
@@ -235,7 +236,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if "dt_schedule" in values:
         fields["dt_schedule"], fields["schedule_repeats"] = values["dt_schedule"]
         if not fields["schedule_repeats"]:
-            fields.setdefault("n_steps", len(fields["dt_schedule"]))
+            if "n_steps" in values:
+                raise _error(lines["n_steps"], "n_steps applies to a "
+                             "dt_schedule only if it ends in 'repeat'")
+            fields["n_steps"] = len(fields["dt_schedule"])
     if triple:
         fields["rho_inf"] = None
     if name == "ode-convergence":

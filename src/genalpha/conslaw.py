@@ -385,10 +385,6 @@ class _PeriodicGalerkinBase:
     def dimension(self) -> int:
         return self.m
 
-    @property
-    def n_balance_components(self) -> int:
-        return self.p
-
     def project(self, fn: Callable) -> np.ndarray:
         return project_periodic(self.space, fn, self.p)
 
@@ -406,16 +402,12 @@ class ConservedSystem(_PeriodicGalerkinBase):
 
     admits_balance_law = True
 
-    def __init__(self, space: PeriodicFemSpace, model, stabilization: str = "none",
-                 stab_coefficient: float | None = None):
+    def __init__(self, space: PeriodicFemSpace, model, stabilization: str = "none"):
         super().__init__(space, model.p)
         if stabilization not in ("none", "supg-like"):
             raise ValueError(f"unknown stabilization {stabilization!r}")
         self.model = model
-        self.stab = 0.0
-        if stabilization == "supg-like":
-            self.stab = (0.5 * space.dx if stab_coefficient is None
-                         else float(stab_coefficient))
+        self.stab = 0.5 * space.dx if stabilization == "supg-like" else 0.0
 
     def residual(self, u_dot, u, t):
         vals, derivs = _field_values(self.space, u, self.p)

@@ -112,7 +112,7 @@ def run_advdiff_balance(config: ExperimentConfig):
     mesh = advdiff.Mesh1D(config.n_elements)
     forcing = (lambda x, t: np.ones_like(x)) if config.forcing == "unit" else None
     pde = advdiff.AdvDiffConfig(a=config.a, kappa=config.kappa, f=forcing,
-                                u0=_bump, stabilization=config.stabilization)
+                                stabilization=config.stabilization)
     system = advdiff.AdvDiffSystem(mesh, pde, dts[0])
     u0 = advdiff.project_initial(mesh, _bump)
     state = StatePair(u0, consistent_initial_rate(system, u0, 0.0,

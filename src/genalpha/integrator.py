@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -56,6 +56,14 @@ class GenAlphaParams:
     rho_inf: float | None = None
     beta: float | None = None
 
+    def __post_init__(self):
+        vals = (self.alpha_m, self.alpha_f, self.gamma) + (
+            () if self.beta is None else (self.beta,))
+        if not all(np.isfinite(v) for v in vals):
+            raise ValueError(f"parameters must be finite, got {vals}")
+        if self.gamma == 0.0:
+            raise ValueError("gamma = 0 leaves U̇_{n+1} (Ü_{n+1}) undetermined")
+
     def is_second_order(self) -> bool:
         return abs(self.gamma - (0.5 + self.alpha_m - self.alpha_f)) <= _FLAG_TOL
 
@@ -86,11 +94,9 @@ def make_params(alpha_m: float, alpha_f: float, gamma: float,
     """Store an explicit parameter triple verbatim (no rho_inf provenance).
 
     Deliberately admits non-second-order and unstable combinations so that
-    negative tests can exercise the diagnostics.
+    negative tests can exercise the diagnostics; `GenAlphaParams` rejects
+    only non-finite values and gamma = 0.
     """
-    vals = (alpha_m, alpha_f, gamma) + (() if beta is None else (beta,))
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError(f"parameters must be finite, got {vals}")
     return GenAlphaParams(float(alpha_m), float(alpha_f), float(gamma), beta=beta)
 
 
@@ -131,7 +137,6 @@ class SecondOrderState:
                 raise ValueError("state entries must be finite")
 
 
-@runtime_checkable
 class ResidualSystem(Protocol):
     """Capability contract for a first-order semi-discrete system R(U̇, U, t).
 
@@ -363,8 +368,6 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     _check_dt(dt)
     require_shifted_midpoint(system, params, ())
     g = params.gamma
-    if g == 0.0:
-        raise ValueError("gamma = 0 leaves U̇_{n+1} undetermined")
     u_base = _update_base(state_n, dt, g)
     problem = getattr(system, "step_problem", None)
     res, jac = (problem(state_n, dt, params) if problem is not None
@@ -461,8 +464,6 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
         raise ValueError("second-order stepping requires params.beta")
     _check_dt(dt)
     am, af, g, beta = params.alpha_m, params.alpha_f, params.gamma, params.beta
-    if g == 0.0:
-        raise ValueError("gamma = 0 leaves Ü_{n+1} undetermined")
     u_n, v_n, a_n = state_n.u, state_n.u_dot, state_n.u_ddot
     t_af = state_n.t + af * dt
     u_base = u_n + dt * v_n + dt * dt * (0.5 - beta) * a_n

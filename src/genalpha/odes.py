@@ -9,12 +9,11 @@ class ScalarLinear:
     """u̇ = lam*u as a residual system: R = u̇ - lam*u.
 
     `lam` may be complex, in which case states are complex as well.  Carries
-    the exact solution u0*exp(lam*t) for convergence studies.
+    the exact solution exp(lam*t), from u(0) = 1, for convergence studies.
     """
 
-    def __init__(self, lam, u0=1.0):
+    def __init__(self, lam):
         self.lam = lam
-        self.u0 = u0
 
     def dimension(self) -> int:
         return 1
@@ -27,7 +26,7 @@ class ScalarLinear:
         return np.array([[c_dot - c_u * self.lam]], dtype=dtype)
 
     def exact(self, t: float) -> np.ndarray:
-        return np.atleast_1d(self.u0 * np.exp(self.lam * t))
+        return np.atleast_1d(np.exp(self.lam * t))
 
 
 class HarmonicOscillator:

@@ -176,14 +176,14 @@ def test_criterion_06_advdiff_balance():
     params = params_from_rho_inf(0.5)
     mesh = Mesh1D(64)
 
-    config = AdvDiffConfig(a=1.0, kappa=0.01, u0=_bump, stabilization="supg")
+    config = AdvDiffConfig(a=1.0, kappa=0.01, stabilization="supg")
     system = AdvDiffSystem(mesh, config, 1e-3)
     ledger = _run_ledger(system, project_initial(mesh, _bump), [1e-3] * 200,
                          params)
     drift_a = abs(ledger.drift()[0])
     ok_a = ledger.certified and drift_a <= 1e-12
 
-    forced = AdvDiffConfig(a=0.0, kappa=1.0, u0=_bump,
+    forced = AdvDiffConfig(a=0.0, kappa=1.0,
                            f=lambda x, t: np.ones_like(x))
     system_b = AdvDiffSystem(mesh, forced, 1e-3)
     ledger_b = _run_ledger(system_b, project_initial(mesh, _bump), [1e-3] * 200,

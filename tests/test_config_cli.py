@@ -185,6 +185,13 @@ OUT_OF_RANGE_CONFIGS = {
     "compare-not-second-order": ("[experiment]\nname = nonconservative-compare\n"
                                  "[integrator]\nn_steps = 2\nalpha_m = 0.9\n"
                                  "alpha_f = 0.7\ngamma = 0.6\n", 5),
+    "triple-gamma-zero": ("[experiment]\nname = second-order-identity\n"
+                          "[integrator]\nalpha_m = 0.5\nalpha_f = 0.5\n"
+                          "gamma = 0\nn_steps = 2\n", 4),
+    # a schedule without `repeat` sets the step count itself
+    "schedule-n_steps-no-repeat": ("[experiment]\nname = conslaw-balance\n"
+                                   "[integrator]\ndt_schedule = 0.001,0.002\n"
+                                   "n_steps = 5\n", 5),
 }
 
 

@@ -50,6 +50,10 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(float("nan"), 0.5, 0.5)
 
+    def test_params_reject_zero_gamma(self):
+        with pytest.raises(ValueError, match="gamma = 0"):
+            GenAlphaParams(0.5, 0.5, 0.0)
+
     @given(st.floats(0.0, 1.0))
     def test_rho_inf_always_second_order_and_stable(self, rho):
         p = params_from_rho_inf(rho)
