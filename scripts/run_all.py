@@ -6,7 +6,9 @@
                                          # compare with the files under out/
 
 The broken convergence config is expected to exit 2 (it deliberately
-violates the second-order condition); everything else must exit 0.
+violates the second-order condition); everything else must exit 0.  Each
+config's status line ends with its wall time (`time.perf_counter`), which
+goes to stdout only.
 `--check` leaves out/ untouched, lists every file under out/ whose fresh
 output differs from it byte for byte or is missing, and exits 1 if any does.
 """
@@ -14,6 +16,7 @@ output differs from it byte for byte or is missing, and exits 1 if any does.
 import argparse
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from genalpha.cli import main as cli_main
@@ -26,13 +29,15 @@ def run_configs(configs, out_root: Path) -> int:
     """Run each config into out_root/<stem>; the number that exit unexpectedly."""
     failures = 0
     for config in configs:
+        start = time.perf_counter()
         code = cli_main(["run", str(config), "--out", str(out_root / config.stem),
                          "--quiet"])
+        seconds = time.perf_counter() - start
         expected = EXPECTED.get(config.name, 0)
         if code != expected:
             failures += 1
         print(f"{config.name:32s} exit={code} (expected {expected}) "
-              f"{'ok' if code == expected else 'UNEXPECTED'}")
+              f"{'ok' if code == expected else 'UNEXPECTED'} {seconds:8.3f} s")
     print(f"\n{len(configs) - failures}/{len(configs)} configs behaved as expected")
     return failures
 

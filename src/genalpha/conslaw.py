@@ -379,7 +379,8 @@ class _PeriodicGalerkinBase:
     def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
         """The default blended step problem, its Jacobians built in place."""
         return _blended_step_problem(self, state_n, dt, params,
-                                     _update_base(state_n, dt, params.gamma),
+                                     _update_base(state_n.u, state_n.u_dot, dt,
+                                                  params.gamma),
                                      out=self._jacobian_buffer())
 
     def dimension(self) -> int:
@@ -579,7 +580,7 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         af, g = params.alpha_f, params.gamma
         shift = (af - 0.5) * dt
         t_af = state_n.t + af * dt
-        v_base = _update_base(state_n, dt, g)
+        v_base = _update_base(state_n.u, state_n.u_dot, dt, g)
         v_af0, dt_g = (1.0 - af) * state_n.u, dt * g
         vn, _ = _field_values(self.space, state_n.u, self.p)
         try:

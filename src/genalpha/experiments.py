@@ -230,13 +230,14 @@ def run_second_order_identity(config: ExperimentConfig):
     # the trajectory as rows, so the identity is checked for all steps at once
     fields = np.empty((3, len(dts) + 1, osc.dimension()))
     times = np.empty(len(dts))
-    fields[:, 0] = state.u, state.u_dot, state.u_ddot
-    for n, dt in enumerate(dts):
+    u, v, a = fields
+    u[0], v[0], a[0] = state.u, state.u_dot, state.u_ddot
+    for n, dt in enumerate(dts, 1):
         state = step_second_order(osc, state, dt, params)
-        fields[:, n + 1] = state.u, state.u_dot, state.u_ddot
-        times[n] = state.t
+        u[n], v[n], a[n] = state.u, state.u_dot, state.u_ddot
+        times[n - 1] = state.t
     scaled = _scaled_identity_residuals(fields, dts, params)
-    del fields   # the csv lines need only the times and residuals
+    del fields, u, v, a   # the csv lines need only the times and residuals
     worst = float(scaled.max(initial=0.0))
     csv = ["step,t,identity_residual"]
     csv += [f"{n},{_fmt(t)},{_fmt(r)}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -172,9 +172,11 @@ class ResidualSystem(Protocol):
 
         A dense ndarray, or an object with `@` (matrix-vector product) and
         `solve(b)`.  Newton solves with the matrix's own `solve(b)` when it
-        has one; a real 1x1 ndarray by division, which equals LAPACK's
-        result bit for bit; and anything else with `np.linalg.solve`.  A
-        singular matrix raises `np.linalg.LinAlgError` on every path.
+        has one, and else with `np.linalg.solve`.  A state of one real
+        component is stepped in Python floats (`_FLOATS`): the 1x1 ndarray
+        is then solved by division, which equals LAPACK's result bit for
+        bit.  A singular matrix raises `np.linalg.LinAlgError` on every
+        path.
         """
         ...
 
@@ -232,22 +234,70 @@ def require_shifted_midpoint(system, params: GenAlphaParams,
 
 
 def _solve(matrix, b: np.ndarray) -> np.ndarray:
-    """`matrix.solve(b)` when the matrix provides one; a real 1x1 system by
-    division; else a dense LAPACK solve.
-
-    LAPACK solves a real 1x1 system by dividing by the pivot, so division
-    gives the same bits without LAPACK's call overhead.  A complex system
-    stays with LAPACK, whose complex division rounds differently.
-    """
+    """`matrix.solve(b)` when the matrix provides one; else a dense LAPACK solve."""
     if hasattr(matrix, "solve"):
         return matrix.solve(b)
-    if (type(matrix) is np.ndarray and matrix.shape == (1, 1)
-            and matrix.dtype.kind == "f" and b.dtype.kind == "f"):
-        pivot = matrix[0, 0]
-        if pivot == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return b / pivot
     return np.linalg.solve(matrix, b)
+
+
+def _divide(matrix, r: float) -> float:
+    """r solved with the 1x1 Jacobian of one real component, by division.
+
+    LAPACK solves a real 1x1 system by dividing by its pivot, so division
+    gives `np.linalg.solve`'s bits without its call overhead, and a +-0
+    pivot is singular on both.  A Jacobian that is not an ndarray goes to
+    `_solve`.
+    """
+    if type(matrix) is not np.ndarray:
+        return _solve(matrix, np.array((r,))).item()
+    pivot = matrix.item()
+    if pivot == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return r / pivot
+
+
+def _inf_norm(r: np.ndarray) -> float:
+    return float(np.abs(r).max())
+
+
+class _Carrier(NamedTuple):
+    """How a stepper carries a state's fields through one step: `read` takes
+    a field, or a system's residual, to the value the stepper computes
+    with, `wrap` one computed field to the array a system is called with,
+    and `state(cls, *fields, t)` builds the result."""
+
+    read: Callable
+    wrap: Callable
+    state: Callable
+
+
+def _float_state(cls, *fields):
+    """`cls(*fields)` from float fields and a time: fresh (1,) arrays, checked
+    finite as the public constructor checks them, without its copy."""
+    *values, t = fields
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError("state entries must be finite")
+    state = object.__new__(cls)
+    vars(state).update(zip(cls.__match_args__, [*map(_FLOATS.wrap, values), t]))
+    return state
+
+
+# every field as its array: the general path
+_ARRAYS = _Carrier(lambda x: x, lambda x: x, lambda cls, *fields: cls(*fields))
+# one real component as Python floats, which round each +, -, *, / as numpy
+# rounds it on one element, so both paths give the same bits
+_FLOATS = _Carrier(lambda field: field.item(), lambda x: np.array((x,)),
+                   _float_state)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _carrier(*fields: np.ndarray) -> _Carrier:
+    """`_FLOATS` when every field holds one float64 component, else `_ARRAYS`."""
+    for field in fields:
+        if field.shape != (1,) or field.dtype is not _FLOAT64:
+            return _ARRAYS
+    return _FLOATS
 
 
 def _reuse_last(blend: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
@@ -272,10 +322,16 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
     """Newton iteration with a scaled infinity-norm stopping rule.
 
     Stops at the first non-finite residual norm rather than iterating on it.
+    The iterate and the residual are arrays, and `_solve` solves each
+    Jacobian; or, when `x0` is a float, one real component carried as
+    Python floats (`_FLOATS`): the residual is then a float with norm |r|,
+    and the system's 1x1 Jacobian is solved by `_divide`.  Both give the
+    same bits.
     """
+    norm, solve = (abs, _divide) if isinstance(x0, float) else (_inf_norm, _solve)
     x = x0
     r = residual(x)
-    norms = [float(np.abs(r).max())]
+    norms = [norm(r)]
     tol = settings.abs_tol
     if use_rel_tol:
         tol = max(tol, settings.rel_tol * norms[0])
@@ -292,9 +348,9 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
                 f"residual norms {norms}", norms)
         # J is used for this one solve: the next Jacobian call may build
         # the next J in the same buffer, or free this one first
-        x = x - _solve(jacobian(x), r)
+        x = x - solve(jacobian(x), r)
         r = residual(x)
-        norms.append(float(np.abs(r).max()))
+        norms.append(norm(r))
 
 
 def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
@@ -316,25 +372,27 @@ def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
     return v
 
 
-def _update_base(state_n: StatePair, dt: float, gamma: float) -> np.ndarray:
+def _update_base(u_n, v_n, dt: float, gamma: float):
     """U_n + dt*(1-gamma)*U̇_n: the update U_{n+1} less its dt*gamma*U̇_{n+1}."""
-    return state_n.u + dt * (1.0 - gamma) * state_n.u_dot
+    return u_n + dt * (1.0 - gamma) * v_n
 
 
 def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
-                          dt: float, params: GenAlphaParams, u_base: np.ndarray,
-                          out: np.ndarray | None = None
-                          ) -> tuple[Callable, Callable]:
+                          dt: float, params: GenAlphaParams, u_base,
+                          out: np.ndarray | None = None,
+                          carry: _Carrier = _ARRAYS) -> tuple[Callable, Callable]:
     """The default step problem: R at the generalized-alpha blend of w.
 
     The residual is R(U̇_{n+am}, U_{n+af}, t_{n+af}) and the Jacobian
     alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, both as functions of
     w = U̇_{n+1}; one iterate's blend is computed once for both.  `u_base`
-    is `step`'s `_update_base`.  Given `out`, every Jacobian is built in
-    it by `iteration_matrix(..., out=out)`.
+    is `step`'s `_update_base`, carried as `carry` carries the fields.
+    Given `out`, every Jacobian is built in it by
+    `iteration_matrix(..., out=out)`.
     """
     am, af, g = params.alpha_m, params.alpha_f, params.gamma
-    u_n, v_n = state_n.u, state_n.u_dot
+    read, wrap = carry.read, carry.wrap
+    u_n, v_n = read(state_n.u), read(state_n.u_dot)
     t_af = state_n.t + af * dt
     v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
     dt_g, c_u = dt * g, af * g * dt
@@ -344,10 +402,10 @@ def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
     @_reuse_last
     def blend(v):
         """(U̇_{n+am}, U_{n+af}) implied by U̇_{n+1} = v."""
-        return v_am0 + am * v, u_af0 + af * (u_base + dt_g * v)
+        return wrap(v_am0 + am * v), wrap(u_af0 + af * (u_base + dt_g * v))
 
     def res(v):
-        return system.residual(*blend(v), t_af)
+        return read(system.residual(*blend(v), t_af))
 
     def jac(v):
         return matrix(am, c_u, *blend(v), t_af)
@@ -364,16 +422,21 @@ def step(system: ResidualSystem, state_n: StatePair, dt: float,
     constant-solution predictor U̇_{n+1} = ((gamma-1)/gamma)*U̇_n.  The
     returned state satisfies the update relation
     U_{n+1} = U_n + dt*((1-gamma)*U̇_n + gamma*U̇_{n+1}) to rounding.
+    Without a step problem, a state of one real component is stepped in
+    Python floats (`_FLOATS`), with the same bits.
     """
     _check_dt(dt)
     require_shifted_midpoint(system, params, ())
     g = params.gamma
-    u_base = _update_base(state_n, dt, g)
     problem = getattr(system, "step_problem", None)
+    carry = _ARRAYS if problem is not None else _carrier(state_n.u, state_n.u_dot)
+    v_n = carry.read(state_n.u_dot)
+    u_base = _update_base(carry.read(state_n.u), v_n, dt, g)
     res, jac = (problem(state_n, dt, params) if problem is not None
-                else _blended_step_problem(system, state_n, dt, params, u_base))
-    v_np1, _ = _newton(res, jac, ((g - 1.0) / g) * state_n.u_dot, newton)
-    return StatePair(u_base + dt * g * v_np1, v_np1, state_n.t + dt)
+                else _blended_step_problem(system, state_n, dt, params, u_base,
+                                           carry=carry))
+    v_np1, _ = _newton(res, jac, ((g - 1.0) / g) * v_n, newton)
+    return carry.state(StatePair, u_base + dt * g * v_np1, v_np1, state_n.t + dt)
 
 
 def _at_step(exc: Exception, index: int, t: float, dt: float) -> Exception:
@@ -458,13 +521,16 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
     U_{n+1} = U_n + dt*U̇_n + dt^2*((1/2-beta)*Ü_n + beta*Ü_{n+1}),
     U̇_{n+1} = U̇_n + dt*((1-gamma)*Ü_n + gamma*Ü_{n+1}),
     and the residual is enforced at (Ü_{n+am}, U̇_{n+af}, U_{n+af}, t_{n+af}).
-    Newton unknown is Ü_{n+1}.
+    Newton unknown is Ü_{n+1}.  A state of one real component is stepped in
+    Python floats (`_FLOATS`), with the same bits.
     """
     if params.beta is None:
         raise ValueError("second-order stepping requires params.beta")
     _check_dt(dt)
     am, af, g, beta = params.alpha_m, params.alpha_f, params.gamma, params.beta
-    u_n, v_n, a_n = state_n.u, state_n.u_dot, state_n.u_ddot
+    carry = _carrier(state_n.u, state_n.u_dot, state_n.u_ddot)
+    read, wrap = carry.read, carry.wrap
+    u_n, v_n, a_n = read(state_n.u), read(state_n.u_dot), read(state_n.u_ddot)
     t_af = state_n.t + af * dt
     u_base = u_n + dt * v_n + dt * dt * (0.5 - beta) * a_n
     v_base = v_n + dt * (1.0 - g) * a_n
@@ -475,19 +541,19 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
     @_reuse_last
     def parts(a):
         """(Ü_{n+am}, U̇_{n+af}, U_{n+af}) implied by Ü_{n+1} = a."""
-        return (a_am0 + am * a, v_af0 + af * (v_base + dt_g * a),
-                u_af0 + af * (u_base + dt2_beta * a))
+        return (wrap(a_am0 + am * a), wrap(v_af0 + af * (v_base + dt_g * a)),
+                wrap(u_af0 + af * (u_base + dt2_beta * a)))
 
     def res(a):
-        return system.residual(*parts(a), t_af)
+        return read(system.residual(*parts(a), t_af))
 
     def jac(a):
         return system.iteration_matrix(am, c_dot, c_u, *parts(a), t_af)
 
     a0 = ((g - 1.0) / g) * a_n
     a_np1, _ = _newton(res, jac, a0, newton)
-    return SecondOrderState(u_base + dt2_beta * a_np1, v_base + dt_g * a_np1,
-                            a_np1, state_n.t + dt)
+    return carry.state(SecondOrderState, u_base + dt2_beta * a_np1,
+                       v_base + dt_g * a_np1, a_np1, state_n.t + dt)
 
 
 def second_order_identity_residual(state_n: SecondOrderState,

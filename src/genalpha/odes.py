@@ -14,6 +14,7 @@ class ScalarLinear:
 
     def __init__(self, lam):
         self.lam = lam
+        self._dtype = np.result_type(type(lam), float)
 
     def dimension(self) -> int:
         return 1
@@ -22,8 +23,7 @@ class ScalarLinear:
         return u_dot - self.lam * u
 
     def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
-        dtype = np.result_type(type(self.lam), u.dtype, float)
-        return np.array([[c_dot - c_u * self.lam]], dtype=dtype)
+        return np.array([[c_dot - c_u * self.lam]], dtype=self._dtype)
 
     def exact(self, t: float) -> np.ndarray:
         return np.atleast_1d(np.exp(self.lam * t))

@@ -10,7 +10,7 @@ from genalpha import (AdmissibilityError, GenAlphaParams,
                       second_order_identity_residual, shifted_state, step,
                       step_second_order)
 from genalpha.advdiff import Tridiagonal
-from genalpha.integrator import _solve
+from genalpha.integrator import _divide, _solve
 from genalpha.odes import HarmonicOscillator, ScalarLinear
 from model_systems import GenericFirstOrder, PureDrift, SecondOrderDrift
 
@@ -80,7 +80,10 @@ FIELDS_OK = ([1.0, 2.0], [0.5, -0.5], [3.0, 4.0])
     (lambda f: SecondOrderState(f[0], f[1], f[2], 0.0), 3),
 ], ids=["StatePair", "SecondOrderState"])
 class TestStateGuarantees:
-    """The checks and the copy that the states keep on the stepper's hot path."""
+    """What the public constructors guarantee: each field coerced to a float
+    (or complex) vector, copied, and checked for shape and finiteness.  The
+    states the stepper builds for one real component are fresh (1,) float64
+    arrays, checked finite the same way (`tests/test_float_path.py`)."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_in_each_field(self, make, n_fields, bad):
@@ -114,25 +117,29 @@ class TestStateGuarantees:
 
 class TestSolveDispatch:
     def test_real_1x1_equals_lapack_bitwise(self):
+        # the one-component float path divides; LAPACK gives the same bits
         rng = np.random.default_rng(20261018)
         n = 20000
         pivots = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
         rhs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
         for pivot, b in zip(pivots, rhs):
-            matrix, b = np.array([[pivot]]), np.array([b])
-            assert (_solve(matrix, b).tobytes()
-                    == np.linalg.solve(matrix, b).tobytes())
+            matrix = np.array([[pivot]])
+            x = _divide(matrix, float(b))
+            assert type(x) is float
+            assert (np.float64(x).tobytes()
+                    == np.linalg.solve(matrix, np.array([b])).tobytes())
 
     @pytest.mark.parametrize("pivot", [0.0, -0.0])
     def test_zero_1x1_pivot_raises(self, pivot):
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve(np.array([[pivot]]), np.array([1.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _divide(np.array([[pivot]]), 1.0)
 
     @pytest.mark.parametrize("matrix, b", [
         (np.array([[2.0 + 1.0j]]), np.array([1.0 - 3.0j])),
         (np.array([[2.0]]), np.array([1.0 - 3.0j])),
         (np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])),
-    ], ids=["complex-matrix", "complex-rhs", "2x2"])
+        (np.array([[2.0]]), np.array([1.0])),
+    ], ids=["complex-matrix", "complex-rhs", "2x2", "real-1x1"])
     def test_lapack_keeps_complex_and_larger_systems(self, monkeypatch,
                                                      matrix, b):
         calls = []
@@ -153,6 +160,7 @@ class TestSolveDispatch:
                 return 2.0 * b
 
         assert np.array_equal(_solve(Solves(), np.array([1.0, 3.0])), [2.0, 6.0])
+        assert _divide(Solves(), 1.5) == 3.0
 
 
 class TestConsistentInitialRate:
