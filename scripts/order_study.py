@@ -7,7 +7,7 @@ by an offset drops the order to one.  Both regimes are shown.
 
 import numpy as np
 
-from genalpha import make_params, observed_order, params_from_rho_inf
+from genalpha import GenAlphaParams, observed_order, params_from_rho_inf
 from genalpha.odes import ScalarLinear
 
 DT_VALUES = (0.1, 0.05, 0.025, 0.0125)
@@ -21,7 +21,7 @@ def main():
         print(f"{rho:8.2f} {0.0:13.2f} {rep.observed_order:15.4f}")
     for offset in (0.1, 0.25):
         base = params_from_rho_inf(0.5)
-        params = make_params(base.alpha_m, base.alpha_f, base.gamma + offset)
+        params = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + offset)
         rep = observed_order(system, 1.0, DT_VALUES, params)
         print(f"{0.5:8.2f} {offset:13.2f} {rep.observed_order:15.4f}")
 

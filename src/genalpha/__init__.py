@@ -4,7 +4,7 @@ from .audit import BalanceLedger, LedgerReport
 from .errors import AdmissibilityError, ConfigurationError, NewtonConvergenceError
 from .integrator import (GenAlphaParams, NewtonSettings, SecondOrderState,
                          StatePair, consistent_initial_acceleration,
-                         consistent_initial_rate, integrate, make_params,
+                         consistent_initial_rate, integrate,
                          midpoint_identity_residual, params_from_rho_inf,
                          second_order_identity_residual, shifted_state, step,
                          step_second_order)
@@ -28,7 +28,6 @@ __all__ = [
     "consistent_initial_acceleration",
     "consistent_initial_rate",
     "integrate",
-    "make_params",
     "midpoint_identity_residual",
     "observed_order",
     "params_from_rho_inf",

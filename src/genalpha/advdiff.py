@@ -1,11 +1,11 @@
 """1D stabilized Galerkin semi-discretization of advection-diffusion.
 
-Solves u_t + (a*u - kappa*u_x)_x = f on (0,1) with flux boundary data h at
-both endpoints and the advective outflow term on the a*n >= 0 part of the
-boundary.  Continuous piecewise-linear elements on a uniform mesh, 2-point
-Gauss quadrature for every integral (residual, loads, projections, and
-totals all share the rule, so the discrete balance law is an identity of
-the assembled operators).  The operators are tridiagonal and stored as
+Solves u_t + (a*u - kappa*u_x)_x = f on (0,1) with the advective outflow
+term on the a*n >= 0 part of the boundary and no applied boundary flux.
+Continuous piecewise-linear elements on a uniform mesh, 2-point Gauss
+quadrature for every integral (residual, loads, projections, and totals
+all share the rule, so the discrete balance law is an identity of the
+assembled operators).  The operators are tridiagonal and stored as
 `Tridiagonal`, so a step costs O(m) with no dense m×m array.
 """
 
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrator import StatePair
+from .integrator import StatePair, shifted_state
 
 # 2-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -50,8 +50,6 @@ class AdvDiffConfig:
     a: float = 1.0
     kappa: float = 0.01
     f: Callable | None = None          # body force f(x, t), vectorized in x
-    h_in: Callable | None = None       # applied flux at x = 0, function of t
-    h_out: Callable | None = None      # applied flux at x = 1, function of t
     stabilization: str = "none"
 
     def __post_init__(self):
@@ -206,8 +204,8 @@ class AdvDiffSystem:
     """Assembled residual system R(u̇, u, t) for the advection-diffusion problem.
 
     R(u̇, u, t) = M_dot u̇ + K u - F(t) where M_dot and K include the SUPG
-    perturbation when enabled; F(t) gathers body-force, boundary-flux, and
-    SUPG load terms; dt enters only the SUPG parameter.  Immutable after
+    perturbation when enabled; F(t) gathers the body-force and SUPG load
+    terms; dt enters only the SUPG parameter.  Immutable after
     construction; evaluation is pure.
     """
 
@@ -218,8 +216,6 @@ class AdvDiffSystem:
         self.config = config
         self.m = mesh.n_elements + 1
         self.f = config.f if config.f is not None else _zero
-        self.h_in = config.h_in if config.h_in is not None else (lambda t: 0.0)
-        self.h_out = config.h_out if config.h_out is not None else (lambda t: 0.0)
         self.tau = (supg_tau(mesh.dx, config.a, config.kappa, dt)
                     if config.stabilization == "supg" else 0.0)
 
@@ -252,16 +248,10 @@ class AdvDiffSystem:
         self.mass_dot = Tridiagonal(mass.data + mass_supg.data)  # multiplies u̇
         self.stiffness = stiff
 
-    def dimension(self) -> int:
-        return self.m
-
     def load_vector(self, t: float) -> np.ndarray:
-        """Body force, boundary flux, and SUPG load at time t."""
+        """Body force and its SUPG load at time t."""
         f_q = np.asarray(self.f(self.x_quad, t), dtype=float)
-        out = _load(self.mesh.dx, f_q, self.tau, self.config.a)
-        out[0] += self.h_in(t)
-        out[-1] += self.h_out(t)
-        return out
+        return _load(self.mesh.dx, f_q, self.tau, self.config.a)
 
     def residual(self, u_dot, u, t):
         return self.mass_dot @ u_dot + self.stiffness @ u - self.load_vector(t)
@@ -277,13 +267,13 @@ class AdvDiffSystem:
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
-        return np.array([self.total(state.u + (alpha_f - 0.5) * dt * state.u_dot)])
+        return np.array([self.total(shifted_state(state, dt, alpha_f))])
 
     def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
         dx = self.mesh.dx
         f_q = np.asarray(self.f(self.x_quad, t_alpha_f), dtype=float)
         body = float(sum(dx * w * f_q[:, q].sum() for q, w in enumerate(_QW)))
-        return np.array([body + self.h_in(t_alpha_f) + self.h_out(t_alpha_f)])
+        return np.array([body])
 
     def balance_outflow(self, u_alpha_f, t_alpha_f: float) -> float:
         """Advective outflow (a*n) u^h summed over boundary points with a*n >= 0."""

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .advdiff import AdvDiffConfig
 from .conslaw import Euler1D, ModifiedNonconservativeSystem
 from .errors import ConfigurationError
-from .integrator import (GenAlphaParams, _check_dt, make_params,
-                         params_from_rho_inf, require_shifted_midpoint)
+from .integrator import (GenAlphaParams, _check_dt, params_from_rho_inf,
+                         require_shifted_midpoint)
 from .linear_analysis import ladder_steps
 
 EXPERIMENTS = ("ode-convergence", "amplification-sweep", "advdiff-balance",
@@ -66,7 +66,7 @@ class ExperimentConfig:
     alpha_m: float | None = None
     alpha_f: float | None = None
     gamma: float | None = None
-    dt: float | None = None
+    dt: float = 1e-3
     dt_list: tuple[float, ...] | None = None
     dt_schedule: tuple[float, ...] | None = None
     schedule_repeats: bool = False
@@ -86,12 +86,12 @@ class ExperimentConfig:
         if self.rho_inf is not None:
             return params_from_rho_inf(self.rho_inf)
         beta = 0.25 * (1.0 + self.alpha_m - self.alpha_f) ** 2
-        return make_params(self.alpha_m, self.alpha_f, self.gamma, beta=beta)
+        return GenAlphaParams(self.alpha_m, self.alpha_f, self.gamma, beta=beta)
 
     def step_sizes(self) -> list[float]:
         """Per-step dt schedule for run-style experiments."""
         if self.dt_schedule is None:
-            return [self.dt if self.dt is not None else 1e-3] * self.n_steps
+            return [self.dt] * self.n_steps
         if self.schedule_repeats:
             return [self.dt_schedule[i % len(self.dt_schedule)]
                     for i in range(self.n_steps)]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AdmissibilityError
 from .integrator import (GenAlphaParams, StatePair, _blended_step_problem,
-                         _reuse_last, _update_base)
+                         _reuse_last, _update_base, shifted_state)
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
@@ -251,9 +251,9 @@ class Euler1D:
 class PressurePrimitiveMap:
     """Map V = (p, u, T) to conserved U = (rho, rho*u, E) for an ideal gas.
 
-    rho = p/(R*T), E = p/(gamma-1) + rho*u^2/2.  Provides the analytic
-    Jacobian dU/dV and its derivative (the Hessian of U), which the modified
-    scheme's Newton linearization consumes.  Each method takes stacked
+    rho = p/T (gas constant 1), E = p/(gamma-1) + rho*u^2/2.  Provides the
+    analytic Jacobian dU/dV and its derivative (the Hessian of U), which the
+    modified scheme's Newton linearization consumes.  Each method takes stacked
     points v of shape (..., 3) and an optional x of matching shape (...),
     which an AdmissibilityError names.  The public methods check v first;
     the unchecked formulas `_to_conserved`, `_jacobian` and `_hessian` serve
@@ -262,13 +262,10 @@ class PressurePrimitiveMap:
 
     p = 3
 
-    def __init__(self, gamma_gas: float, r_gas: float):
+    def __init__(self, gamma_gas: float):
         if not (math.isfinite(gamma_gas) and gamma_gas > 1.0):
             raise ValueError(f"gamma_gas must be finite and exceed 1, got {gamma_gas}")
-        if not (math.isfinite(r_gas) and r_gas > 0.0):
-            raise ValueError(f"r_gas must be finite and positive, got {r_gas}")
         self.gamma_gas = gamma_gas
-        self.r_gas = r_gas
 
     def check(self, v, x=None):
         """Raise at the first point, element-major, with pressure or T <= 0."""
@@ -295,40 +292,38 @@ class PressurePrimitiveMap:
 
     def _to_conserved(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
-        rho = pres / (self.r_gas * temp)
+        rho = pres / temp
         return np.stack([rho, rho * vel,
                          pres / (self.gamma_gas - 1.0) + 0.5 * rho * vel ** 2],
                         axis=-1)
 
     def _jacobian(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
-        rt = self.r_gas * temp
-        rho = pres / rt
+        rho = pres / temp
         return _stack_matrix([
-            [1.0 / rt, 0.0, -rho / temp],
-            [vel / rt, rho, -rho * vel / temp],
-            [1.0 / (self.gamma_gas - 1.0) + 0.5 * vel ** 2 / rt, rho * vel,
+            [1.0 / temp, 0.0, -rho / temp],
+            [vel / temp, rho, -rho * vel / temp],
+            [1.0 / (self.gamma_gas - 1.0) + 0.5 * vel ** 2 / temp, rho * vel,
              -0.5 * rho * vel ** 2 / temp],
         ])
 
     def _hessian(self, v):
         pres, vel, temp = v[..., 0], v[..., 1], v[..., 2]
-        rt = self.r_gas * temp
         h = np.zeros(np.shape(v) + (3, 3))
-        # U_0 = p/(R T)
-        h[..., 0, 0, 2] = h[..., 0, 2, 0] = -1.0 / (rt * temp)
-        h[..., 0, 2, 2] = 2.0 * pres / (rt * temp ** 2)
-        # U_1 = p u/(R T)
-        h[..., 1, 0, 1] = h[..., 1, 1, 0] = 1.0 / rt
-        h[..., 1, 0, 2] = h[..., 1, 2, 0] = -vel / (rt * temp)
-        h[..., 1, 1, 2] = h[..., 1, 2, 1] = -pres / (rt * temp)
-        h[..., 1, 2, 2] = 2.0 * pres * vel / (rt * temp ** 2)
-        # U_2 = p/(g-1) + p u^2/(2 R T)
-        h[..., 2, 0, 1] = h[..., 2, 1, 0] = vel / rt
-        h[..., 2, 0, 2] = h[..., 2, 2, 0] = -0.5 * vel ** 2 / (rt * temp)
-        h[..., 2, 1, 1] = pres / rt
-        h[..., 2, 1, 2] = h[..., 2, 2, 1] = -pres * vel / (rt * temp)
-        h[..., 2, 2, 2] = pres * vel ** 2 / (rt * temp ** 2)
+        # U_0 = p/T
+        h[..., 0, 0, 2] = h[..., 0, 2, 0] = -1.0 / (temp * temp)
+        h[..., 0, 2, 2] = 2.0 * pres / (temp * temp ** 2)
+        # U_1 = p u/T
+        h[..., 1, 0, 1] = h[..., 1, 1, 0] = 1.0 / temp
+        h[..., 1, 0, 2] = h[..., 1, 2, 0] = -vel / (temp * temp)
+        h[..., 1, 1, 2] = h[..., 1, 2, 1] = -pres / (temp * temp)
+        h[..., 1, 2, 2] = 2.0 * pres * vel / (temp * temp ** 2)
+        # U_2 = p/(g-1) + p u^2/(2 T)
+        h[..., 2, 0, 1] = h[..., 2, 1, 0] = vel / temp
+        h[..., 2, 0, 2] = h[..., 2, 2, 0] = -0.5 * vel ** 2 / (temp * temp)
+        h[..., 2, 1, 1] = pres / temp
+        h[..., 2, 1, 2] = h[..., 2, 2, 1] = -pres * vel / (temp * temp)
+        h[..., 2, 2, 2] = pres * vel ** 2 / (temp * temp ** 2)
         return h
 
 
@@ -383,9 +378,6 @@ class _PeriodicGalerkinBase:
                                                   params.gamma),
                                      out=self._jacobian_buffer())
 
-    def dimension(self) -> int:
-        return self.m
-
     def project(self, fn: Callable) -> np.ndarray:
         return project_periodic(self.space, fn, self.p)
 
@@ -432,7 +424,7 @@ class ConservedSystem(_PeriodicGalerkinBase):
 
     def shifted_balance_total(self, state: StatePair, dt: float,
                               alpha_f: float) -> np.ndarray:
-        return self.total(state.u + (alpha_f - 0.5) * dt * state.u_dot)
+        return self.total(shifted_state(state, dt, alpha_f))
 
     def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
         vals, derivs = _field_values(self.space, u_alpha_f, self.p)

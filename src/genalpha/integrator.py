@@ -45,9 +45,11 @@ def _all_finite(x: np.ndarray) -> bool:
 class GenAlphaParams:
     """The (alpha_m, alpha_f, gamma) triple, optionally with rho_inf provenance.
 
-    `beta` is only consumed by the second-order-IVP stepper; it is attached
-    automatically by `params_from_rho_inf` and may be supplied to
-    `make_params` by hand.
+    An explicit triple is stored verbatim: non-second-order and unstable
+    combinations are admitted so that the diagnostics can be exercised;
+    only non-finite values and gamma = 0 are rejected.  `beta` is only
+    consumed by the second-order-IVP stepper; `params_from_rho_inf`
+    attaches it, and it may be given by hand.
     """
 
     alpha_m: float
@@ -87,17 +89,6 @@ def params_from_rho_inf(rho_inf: float) -> GenAlphaParams:
     gamma = alpha_f
     beta = 0.25 * (1.0 + alpha_m - alpha_f) ** 2
     return GenAlphaParams(alpha_m, alpha_f, gamma, rho_inf=rho_inf, beta=beta)
-
-
-def make_params(alpha_m: float, alpha_f: float, gamma: float,
-                beta: float | None = None) -> GenAlphaParams:
-    """Store an explicit parameter triple verbatim (no rho_inf provenance).
-
-    Deliberately admits non-second-order and unstable combinations so that
-    negative tests can exercise the diagnostics; `GenAlphaParams` rejects
-    only non-finite values and gamma = 0.
-    """
-    return GenAlphaParams(float(alpha_m), float(alpha_f), float(gamma), beta=beta)
 
 
 @dataclass(frozen=True)
@@ -140,6 +131,9 @@ class SecondOrderState:
 class ResidualSystem(Protocol):
     """Capability contract for a first-order semi-discrete system R(U̇, U, t).
 
+    A system needs only `residual` and `iteration_matrix`; the
+    `step_problem` and `requires_shifted_midpoint` below are optional.
+
     `step` solves each step's problem in the Newton unknown w = U̇_{n+1}.  A
     system may define `step_problem(state_n, dt, params) -> (residual,
     jacobian)`, two functions of w, and `step` solves those; a system whose
@@ -162,8 +156,6 @@ class ResidualSystem(Protocol):
     are given the same arrays.
     """
 
-    def dimension(self) -> int: ...
-
     def residual(self, u_dot: np.ndarray, u: np.ndarray, t: float) -> np.ndarray: ...
 
     def iteration_matrix(self, c_dot: float, c_u: float, u_dot: np.ndarray,
@@ -182,9 +174,8 @@ class ResidualSystem(Protocol):
 
 
 class SecondOrderResidualSystem(Protocol):
-    """Capability contract for a second-order system R(Ü, U̇, U, t)."""
-
-    def dimension(self) -> int: ...
+    """Capability contract for a second-order system R(Ü, U̇, U, t): its
+    residual and its iteration matrix c_ddot*dR/dÜ + c_dot*dR/dU̇ + c_u*dR/dU."""
 
     def residual(self, u_ddot: np.ndarray, u_dot: np.ndarray, u: np.ndarray,
                  t: float) -> np.ndarray: ...

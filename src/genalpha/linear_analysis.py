@@ -41,7 +41,7 @@ def amplification_matrix(z, params: GenAlphaParams) -> AmplificationMatrix:
     # with |z|; the solve itself is exact after one iteration
     newton = NewtonSettings(abs_tol=1e-12 * max(1.0, abs(z)), rel_tol=1e-15,
                             max_iters=12)
-    dtype = complex if np.iscomplexobj(z) or isinstance(z, complex) else float
+    dtype = complex if np.iscomplexobj(z) else float
     cols = []
     for unit in ((1.0, 0.0), (0.0, 1.0)):
         state = StatePair(np.array([unit[0]], dtype=dtype),

@@ -16,9 +16,6 @@ class ScalarLinear:
         self.lam = lam
         self._dtype = np.result_type(type(lam), float)
 
-    def dimension(self) -> int:
-        return 1
-
     def residual(self, u_dot, u, t):
         return u_dot - self.lam * u
 
@@ -30,16 +27,10 @@ class ScalarLinear:
 
 
 class HarmonicOscillator:
-    """R = ü + omega^2 u, the scalar second-order test problem."""
-
-    def __init__(self, omega: float = 1.0):
-        self.omega = omega
-
-    def dimension(self) -> int:
-        return 1
+    """R = ü + u, the scalar second-order test problem (angular frequency 1)."""
 
     def residual(self, u_ddot, u_dot, u, t):
-        return u_ddot + self.omega ** 2 * u
+        return u_ddot + u
 
     def iteration_matrix(self, c_ddot, c_dot, c_u, u_ddot, u_dot, u, t):
-        return np.array([[c_ddot + c_u * self.omega ** 2]])
+        return np.array([[c_ddot + c_u]])

@@ -22,9 +22,6 @@ class GenericFirstOrder:
         self.m = m
         self._exact = exact
 
-    def dimension(self) -> int:
-        return self.m
-
     def residual(self, u_dot, u, t):
         return u_dot - self.f(u, t)
 
@@ -43,9 +40,6 @@ class PureDrift:
     def __init__(self, m: int = 1):
         self.m = m
 
-    def dimension(self) -> int:
-        return self.m
-
     def residual(self, u_dot, u, t):
         return np.array(u_dot, copy=True)
 
@@ -55,9 +49,6 @@ class PureDrift:
 
 class SecondOrderDrift:
     """R = ü (free drift in the second-order setting)."""
-
-    def dimension(self) -> int:
-        return 1
 
     def residual(self, u_ddot, u_dot, u, t):
         return np.array(u_ddot, copy=True)

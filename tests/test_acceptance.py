@@ -9,11 +9,12 @@ exact ODE solutions, analytic integrals), or run-based ledger quantities.
 import numpy as np
 import pytest
 
-from genalpha import (NewtonSettings, SecondOrderState, StatePair,
-                      consistent_initial_acceleration, consistent_initial_rate,
-                      integrate, make_params, midpoint_identity_residual,
-                      params_from_rho_inf, second_order_identity_residual,
-                      shifted_state, step, step_second_order)
+from genalpha import (GenAlphaParams, NewtonSettings, SecondOrderState,
+                      StatePair, consistent_initial_acceleration,
+                      consistent_initial_rate, integrate,
+                      midpoint_identity_residual, params_from_rho_inf,
+                      second_order_identity_residual, shifted_state, step,
+                      step_second_order)
 from genalpha.advdiff import (AdvDiffConfig, AdvDiffSystem, Mesh1D,
                               project_initial, stabilization_form)
 from genalpha.audit import BalanceLedger
@@ -88,7 +89,7 @@ def test_criterion_02_midpoint_identity_randomized():
         for _ in range(350):
             alpha_m = rng.uniform(0.35, 1.5)
             alpha_f = rng.uniform(0.35, min(alpha_m + 0.4, 1.2))
-            params = make_params(alpha_m, alpha_f, 0.5 + alpha_m - alpha_f)
+            params = GenAlphaParams(alpha_m, alpha_f, 0.5 + alpha_m - alpha_f)
             dt = rng.uniform(0.01, 0.25)
             u0 = rng.uniform(0.05, 0.95, size=m)
             v0 = rng.uniform(-1.0, 1.0, size=m)
@@ -103,7 +104,7 @@ def test_criterion_02_midpoint_identity_randomized():
 
     # gamma perturbed by 0.2: the defect is visible on generic steps
     base = params_from_rho_inf(0.5)
-    broken = make_params(base.alpha_m, base.alpha_f, base.gamma + 0.2)
+    broken = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.2)
     defects = []
     state = StatePair([1.0], [-1.0], 0.0)
     for _ in range(20):
@@ -165,7 +166,7 @@ def test_criterion_05_temporal_order():
     dts = [0.1, 0.05, 0.025, 0.0125]
     good = observed_order(ScalarLinear(-1.0), 1.0, dts, params_from_rho_inf(0.5))
     base = params_from_rho_inf(0.5)
-    broken = make_params(base.alpha_m, base.alpha_f, base.gamma + 0.25)
+    broken = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.25)
     bad = observed_order(ScalarLinear(-1.0), 1.0, dts, broken)
     ok = (1.9 <= good.observed_order <= 2.1) and (0.8 <= bad.observed_order <= 1.2)
     assert _report(5, ok, f"observed order {good.observed_order:.3f} (second "
@@ -229,7 +230,7 @@ def test_criterion_07_conservation_law_balance():
 def test_criterion_08_nonconservative_demonstration():
     params = params_from_rho_inf(0.5)
     space = PeriodicFemSpace(32)
-    varmap = PressurePrimitiveMap(1.4, 1.0)
+    varmap = PressurePrimitiveMap(1.4)
     model = Euler1D(1.4)
 
     standard = NonconservativeSystem(space, model, varmap)
@@ -285,19 +286,19 @@ def test_criterion_11_stabilization_kernel():
     mesh = Mesh1D(32)
     scalar = AdvDiffSystem(
         mesh, AdvDiffConfig(a=1.0, kappa=0.01, stabilization="supg"), 1e-3)
-    ones = np.ones(scalar.dimension())
+    ones = np.ones(scalar.m)
     worst = 0.0
     for _ in range(100):
-        v = rng.normal(size=scalar.dimension())
+        v = rng.normal(size=scalar.m)
         worst = max(worst, abs(stabilization_form(scalar, v, ones)))
 
     space = PeriodicFemSpace(16)
     system = ConservedSystem(space, Euler1D(1.4), stabilization="supg-like")
     for j in range(3):
-        e_j = np.zeros(system.dimension())
+        e_j = np.zeros(system.m)
         e_j[j::3] = 1.0
         for _ in range(100):
-            v = rng.normal(size=system.dimension())
+            v = rng.normal(size=system.m)
             worst = max(worst, abs(system_stabilization_form(system, v, e_j)))
     ok = worst <= 1e-14
     assert _report(11, ok, f"S(v, constant test function) max |value| "

@@ -72,7 +72,7 @@ class TestResidual:
     def test_constants_in_kernel_of_pure_diffusion(self):
         mesh = Mesh1D(16)
         system = AdvDiffSystem(mesh, AdvDiffConfig(a=0.0, kappa=1.0))
-        u = np.full(system.dimension(), 3.7)
+        u = np.full(system.m, 3.7)
         r = system.residual(np.zeros_like(u), u, 0.3)
         assert np.max(np.abs(r)) <= 1e-13
 
@@ -92,11 +92,10 @@ class TestResidual:
         config = AdvDiffConfig(
             a=0.8, kappa=0.05,
             f=lambda x, t: np.sin(2 * np.pi * x) + t,
-            h_in=lambda t: 0.3 * t, h_out=lambda t: -0.1,
             stabilization="supg")
         system = AdvDiffSystem(mesh, config, dt=0.01)
-        u = RNG.normal(size=system.dimension())
-        u_dot = RNG.normal(size=system.dimension())
+        u = RNG.normal(size=system.m)
+        u_dot = RNG.normal(size=system.m)
         t = 0.37
         lhs = float(np.sum(system.residual(u_dot, u, t)))
         rhs = (float(np.sum(system.mass @ u_dot)) + system.balance_outflow(u, t)
@@ -107,7 +106,7 @@ class TestResidual:
         mesh = Mesh1D(12)
         config = AdvDiffConfig(a=1.0, kappa=0.02, stabilization="supg")
         system = AdvDiffSystem(mesh, config, dt=0.05)
-        m = system.dimension()
+        m = system.m
         u, u_dot = RNG.normal(size=m), RNG.normal(size=m)
         d = RNG.normal(size=m)
         c_dot, c_u, t = 0.7, 0.3, 0.2
@@ -175,9 +174,9 @@ class TestStabilizationKernel:
         mesh = Mesh1D(32)
         system = AdvDiffSystem(
             mesh, AdvDiffConfig(a=1.0, kappa=0.01, stabilization="supg"), dt=0.01)
-        ones = np.ones(system.dimension())
+        ones = np.ones(system.m)
         for _ in range(100):
-            v = RNG.normal(size=system.dimension())
+            v = RNG.normal(size=system.m)
             assert stabilization_form(system, v, ones) == 0.0
 
     @settings(max_examples=30, deadline=None)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from genalpha import (StatePair, consistent_initial_rate, integrate,
-                      make_params, params_from_rho_inf, step)
+from genalpha import (GenAlphaParams, StatePair, consistent_initial_rate,
+                      integrate, params_from_rho_inf, step)
 from genalpha.advdiff import AdvDiffConfig, AdvDiffSystem, Mesh1D, project_initial
 from genalpha.audit import BalanceLedger, report_to_csv
 from genalpha.conslaw import Burgers1D, ConservedSystem, PeriodicFemSpace
@@ -90,7 +90,7 @@ class TestDrift:
         config = AdvDiffConfig(a=0.0, kappa=1.0)
         system = AdvDiffSystem(mesh, config)
         u0 = project_initial(mesh, bump)
-        bad = make_params(0.5, 0.5, 1.0)
+        bad = GenAlphaParams(0.5, 0.5, 1.0)
         state = StatePair(u0, consistent_initial_rate(system, u0, 0.0), 0.0)
         ledger = BalanceLedger()
         nxt = step(system, state, 1e-3, bad)

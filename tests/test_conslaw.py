@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genalpha import (AdmissibilityError, ConfigurationError, NewtonSettings,
-                      StatePair, consistent_initial_rate, integrate,
-                      params_from_rho_inf, step)
+from genalpha import (AdmissibilityError, ConfigurationError, GenAlphaParams,
+                      NewtonSettings, StatePair, consistent_initial_rate,
+                      integrate, params_from_rho_inf, step)
 from genalpha.advdiff import AdvDiffConfig
 from genalpha.audit import BalanceLedger
 from genalpha.conslaw import (_QP, _QW, Burgers1D, ConservedSystem, Euler1D,
@@ -61,13 +61,10 @@ class TestSpace:
     (lambda: Euler1D(np.nan), "nan"),
     (lambda: Burgers1D(np.nan), "nan"),
     (lambda: Burgers1D(np.inf), "inf"),
-    (lambda: PressurePrimitiveMap(np.inf, 1.0), "inf"),
-    (lambda: PressurePrimitiveMap(GAS, np.nan), "nan"),
-    (lambda: PressurePrimitiveMap(np.inf, np.nan), "inf"),
+    (lambda: PressurePrimitiveMap(np.inf), "inf"),
 ], ids=["advdiff-kappa-inf", "advdiff-kappa-nan", "advdiff-a-nan",
         "advdiff-a-neg-inf", "euler-gamma-inf", "euler-gamma-nan",
-        "burgers-kappa-nan", "burgers-kappa-inf", "varmap-gamma-inf",
-        "varmap-r-nan", "varmap-both"])
+        "burgers-kappa-nan", "burgers-kappa-inf", "varmap-gamma-inf"])
 def test_constructors_reject_nonfinite_data(build, value):
     with pytest.raises(ValueError, match=f"finite.*got {value}$"):
         build()
@@ -111,14 +108,14 @@ class TestModels:
 
 class TestPressurePrimitiveMap:
     def test_reference_state(self):
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         assert np.allclose(vm.to_conserved(np.array([1.0, 0.0, 1.0])),
                            [1.0, 0.0, 2.5], atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.5, 2.0), st.floats(-0.5, 0.5), st.floats(0.5, 2.0))
     def test_jacobian_matches_fd(self, pres, vel, temp):
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         v = np.array([pres, vel, temp])
         eps = 1e-6
         fd = np.column_stack([
@@ -128,7 +125,7 @@ class TestPressurePrimitiveMap:
         assert np.max(np.abs(j - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
     def test_hessian_matches_fd_of_jacobian(self):
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         v = np.array([1.3, -0.2, 0.8])
         eps = 1e-6
         fd = np.stack([(vm.jacobian(v + eps * e) - vm.jacobian(v - eps * e))
@@ -137,7 +134,7 @@ class TestPressurePrimitiveMap:
 
     def test_round_trip_by_newton_inversion(self):
         # invert U(V) numerically as an independent oracle
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         v_true = np.array([1.05, 0.1, 0.95])
         u_target = vm.to_conserved(v_true)
         v = np.array([1.0, 0.0, 1.0])
@@ -149,11 +146,11 @@ class TestPressurePrimitiveMap:
         assert np.max(np.abs(v - v_true)) <= 1e-10
 
     def test_admissibility(self):
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         with pytest.raises(AdmissibilityError):
             vm.to_conserved(np.array([1.0, 0.0, -0.1]))
         with pytest.raises(ValueError):
-            PressurePrimitiveMap(1.0, 1.0)
+            PressurePrimitiveMap(1.0)
 
 
 class TestProjection:
@@ -234,7 +231,7 @@ class TestTotals:
     def test_nonconserved_representation_constant(self):
         space = PeriodicFemSpace(10)
         system = NonconservativeSystem(space, Euler1D(GAS),
-                                       PressurePrimitiveMap(GAS, 1.0))
+                                       PressurePrimitiveMap(GAS))
         coeffs = project_periodic(space, lambda x: np.array([1.0, 0.0, 1.0]), 3)
         total = system.total(coeffs)
         assert np.allclose(total, [1.0, 0.0, 2.5], atol=1e-13)
@@ -269,7 +266,7 @@ class TestStabilization:
 class TestNonconservative:
     def setup_method(self):
         self.space = PeriodicFemSpace(8)
-        self.vm = PressurePrimitiveMap(GAS, 1.0)
+        self.vm = PressurePrimitiveMap(GAS)
         self.model = Euler1D(GAS)
 
     def test_constant_state_steady_both_modes(self):
@@ -354,8 +351,7 @@ class TestNonconservative:
 
     def test_modified_refuses_non_second_order(self):
         system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
-        from genalpha import make_params
-        bad = make_params(0.5, 0.5, 1.0)
+        bad = GenAlphaParams(0.5, 0.5, 1.0)
         v0 = system.project(lambda x: np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ConfigurationError):
             step(system, StatePair(v0, np.zeros_like(v0), 0.0), 1e-3, bad)
@@ -371,7 +367,7 @@ class TestNonconservative:
 class TestDriftComparison:
     def _run(self, system_class, ic, n_steps, dt):
         space = PeriodicFemSpace(32)
-        vm = PressurePrimitiveMap(GAS, 1.0)
+        vm = PressurePrimitiveMap(GAS)
         system = system_class(space, Euler1D(GAS), vm)
         v0 = system.project(ic)
         params = params_from_rho_inf(0.5)
@@ -615,9 +611,9 @@ ORACLE_CASES = {
     "euler-supg": (lambda space: ConservedSystem(space, Euler1D(GAS),
                                                  "supg-like"), "conserved"),
     "primitive-standard": (lambda space: NonconservativeSystem(
-        space, Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0)), "primitive"),
+        space, Euler1D(GAS), PressurePrimitiveMap(GAS)), "primitive"),
     "primitive-modified": (lambda space: ModifiedNonconservativeSystem(
-        space, Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0)), "primitive"),
+        space, Euler1D(GAS), PressurePrimitiveMap(GAS)), "primitive"),
 }
 
 
@@ -726,7 +722,7 @@ class TestBatchedAdmissibility:
 
     def test_standard_iteration_matrix(self):
         system = NonconservativeSystem(
-            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
+            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS))
         v = _one_bad_element("primitive", self.N, self.K)
         zero = np.zeros_like(v)
         self._expect_same_error(
@@ -736,7 +732,7 @@ class TestBatchedAdmissibility:
 
     def test_modified_step_residual(self):
         system = ModifiedNonconservativeSystem(
-            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
+            PeriodicFemSpace(self.N), Euler1D(GAS), PressurePrimitiveMap(GAS))
         v = _one_bad_element("primitive", self.N, self.K)
         # V_n, V_{n+1} and V_{n+af} differ, so the message shows which
         # of them the first bad point names
@@ -837,7 +833,7 @@ class _CountingModified(ModifiedNonconservativeSystem):
 class TestModifiedStepProblem:
     def test_start_state_work_done_once_per_step(self):
         space = PeriodicFemSpace(16)
-        varmap = _CountingMap(GAS, 1.0)
+        varmap = _CountingMap(GAS)
         system = _CountingModified(space, Euler1D(GAS), varmap)
         v0 = system.project(ic_primitive)
         state = StatePair(v0, consistent_initial_rate(system, v0, 0.0), 0.0)
@@ -854,7 +850,7 @@ class TestModifiedStepProblem:
         # the Jacobian after the residual at one iterate, the residual after
         # the Jacobian, and each alone give the same bits
         system = ModifiedNonconservativeSystem(
-            PeriodicFemSpace(8), Euler1D(GAS), PressurePrimitiveMap(GAS, 1.0))
+            PeriodicFemSpace(8), Euler1D(GAS), PressurePrimitiveMap(GAS))
         v0 = system.project(ic_primitive)
         state = StatePair(v0, 0.1 * RNG.normal(size=v0.size), 0.0)
         params = params_from_rho_inf(0.5)
@@ -877,9 +873,6 @@ class _FreshMatrices:
     def __init__(self, system):
         self.system = system
 
-    def dimension(self):
-        return self.system.dimension()
-
     def residual(self, u_dot, u, t):
         return self.system.residual(u_dot, u, t)
 
@@ -898,12 +891,12 @@ def _euler_conserved_64():
 
 def _standard_primitive():
     return NonconservativeSystem(PeriodicFemSpace(16), Euler1D(GAS),
-                                 PressurePrimitiveMap(GAS, 1.0))
+                                 PressurePrimitiveMap(GAS))
 
 
 def _modified_primitive():
     return ModifiedNonconservativeSystem(PeriodicFemSpace(16), Euler1D(GAS),
-                                         PressurePrimitiveMap(GAS, 1.0))
+                                         PressurePrimitiveMap(GAS))
 
 
 def _initial(system):

@@ -12,9 +12,9 @@ norms and the same errors.
 import numpy as np
 import pytest
 
-from genalpha import (NewtonConvergenceError, NewtonSettings, SecondOrderState,
-                      StatePair, integrate, make_params, params_from_rho_inf,
-                      step, step_second_order)
+from genalpha import (GenAlphaParams, NewtonConvergenceError, NewtonSettings,
+                      SecondOrderState, StatePair, integrate,
+                      params_from_rho_inf, step, step_second_order)
 from genalpha import integrator
 from genalpha.integrator import _float_state
 from genalpha.odes import HarmonicOscillator, ScalarLinear
@@ -140,7 +140,7 @@ def draw_params(rng, second_order: bool, beta: bool = False):
     base = params_from_rho_inf(rng.uniform(0.0, 1.0))
     if second_order:
         return base
-    return make_params(base.alpha_m, base.alpha_f,
+    return GenAlphaParams(base.alpha_m, base.alpha_f,
                        base.gamma + rng.uniform(0.05, 0.3),
                        beta=base.beta if beta else None)
 
@@ -182,18 +182,17 @@ class TestFloatPathMatchesArrayOracle:
                             dts, params, newton)
             assert all(x0_type is float for _, x0_type in runs)
 
-    @pytest.mark.parametrize("omega", [1.0, 2.0])
     @pytest.mark.parametrize("second_order", [True, False],
                              ids=["second-order", "mis-parameterized"])
-    def test_harmonic_oscillator(self, package, omega, second_order):
+    def test_harmonic_oscillator(self, package, second_order):
         _, ours = package
-        rng = np.random.default_rng(int(7 * omega))
+        rng = np.random.default_rng(7)
         for _ in range(150):
             state = SecondOrderState([rng.normal()], [rng.normal()],
                                      [rng.normal()], rng.uniform())
             dts = 10.0 ** rng.uniform(-4, -0.5, 4)
             runs = run_both(ours, ArrayOracle.step_second_order,
-                            HarmonicOscillator(omega), state, dts,
+                            HarmonicOscillator(), state, dts,
                             draw_params(rng, second_order, beta=True),
                             NewtonSettings())
             assert all(x0_type is float for _, x0_type in runs)

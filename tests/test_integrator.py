@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from genalpha import (AdmissibilityError, GenAlphaParams,
                       NewtonConvergenceError, NewtonSettings,
                       SecondOrderState, StatePair, consistent_initial_acceleration,
-                      consistent_initial_rate, integrate, make_params,
+                      consistent_initial_rate, integrate,
                       midpoint_identity_residual, params_from_rho_inf,
                       second_order_identity_residual, shifted_state, step,
                       step_second_order)
@@ -39,16 +39,16 @@ class TestParams:
         with pytest.raises(ValueError):
             params_from_rho_inf(rho)
 
-    def test_make_params_flags(self):
-        assert make_params(0.5, 0.5, 0.5).is_second_order()
-        assert make_params(0.5, 0.5, 0.5).is_unconditionally_stable()
-        assert not make_params(0.5, 0.5, 1.0).is_second_order()
-        assert not make_params(0.5, 0.75, 0.25).is_unconditionally_stable()
-        assert make_params(0.5, 0.5, 1.0).rho_inf is None
+    def test_explicit_params_flags(self):
+        assert GenAlphaParams(0.5, 0.5, 0.5).is_second_order()
+        assert GenAlphaParams(0.5, 0.5, 0.5).is_unconditionally_stable()
+        assert not GenAlphaParams(0.5, 0.5, 1.0).is_second_order()
+        assert not GenAlphaParams(0.5, 0.75, 0.25).is_unconditionally_stable()
+        assert GenAlphaParams(0.5, 0.5, 1.0).rho_inf is None
 
-    def test_make_params_rejects_nonfinite(self):
+    def test_explicit_params_reject_nonfinite(self):
         with pytest.raises(ValueError):
-            make_params(float("nan"), 0.5, 0.5)
+            GenAlphaParams(float("nan"), 0.5, 0.5)
 
     def test_params_reject_zero_gamma(self):
         with pytest.raises(ValueError, match="gamma = 0"):
@@ -287,14 +287,14 @@ class TestMidpointIdentity:
         assert midpoint_identity_residual(s0, s1, 0.1, p) == 0.0
 
     def test_violated_for_non_second_order(self):
-        p = make_params(0.5, 0.5, 1.0)
+        p = GenAlphaParams(0.5, 0.5, 1.0)
         s0 = StatePair([1.0], [-1.0], 0.0)
         s1 = step(ScalarLinear(-1.0), s0, 0.1, p)
         assert midpoint_identity_residual(s0, s1, 0.1, p) > 1e-3
 
     def test_defect_formula(self):
         # defect = |gamma - 1/2 - am + af| * |u̇_{n+1} - u̇_n| for gen-alpha pairs
-        p = make_params(0.9, 0.6, 0.5 + 0.9 - 0.6 + 0.13)
+        p = GenAlphaParams(0.9, 0.6, 0.5 + 0.9 - 0.6 + 0.13)
         s0 = StatePair([1.0], [-1.0], 0.0)
         s1 = step(ScalarLinear(-1.0), s0, 0.1, p)
         expected = 0.13 * np.max(np.abs(s1.u_dot - s0.u_dot))
@@ -309,7 +309,7 @@ class TestMidpointIdentity:
         # size eps*|u|/dt even though the identity is exact algebra
         from hypothesis import assume
         assume(0.5 + alpha_m - alpha_f >= 0.05)
-        p = make_params(alpha_m, alpha_f, 0.5 + alpha_m - alpha_f)
+        p = GenAlphaParams(alpha_m, alpha_f, 0.5 + alpha_m - alpha_f)
         s0 = StatePair([u0], [v0], 0.0)
         try:
             s1 = step(logistic(), s0, dt, p)
@@ -378,7 +378,7 @@ class TestSecondOrder:
 
     def test_identity_defect_when_gamma_perturbed(self):
         base = params_from_rho_inf(0.5)
-        p = make_params(base.alpha_m, base.alpha_f, base.gamma + 0.2,
+        p = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.2,
                         beta=base.beta)
         osc = HarmonicOscillator()
         state = SecondOrderState([1.0], [0.0], [-1.0], 0.0)
@@ -393,8 +393,8 @@ class TestSecondOrder:
 
     def test_stacked_states_give_each_step_defect_bitwise(self):
         p = params_from_rho_inf(0.3)
-        osc = HarmonicOscillator(2.0)
-        states = [SecondOrderState([1.0], [0.5], [-4.0], 0.0)]
+        osc = HarmonicOscillator()
+        states = [SecondOrderState([1.0], [0.5], [-1.0], 0.0)]
         dts = [0.01, 0.03, 0.02] * 4
         for dt in dts:
             states.append(step_second_order(osc, states[-1], dt, p))
@@ -409,7 +409,7 @@ class TestSecondOrder:
         assert stacked.tobytes() == np.array(pairwise).tobytes()
 
     def test_requires_beta(self):
-        p = make_params(0.5, 0.5, 0.5)  # no beta attached
+        p = GenAlphaParams(0.5, 0.5, 0.5)  # no beta attached
         with pytest.raises(ValueError):
             step_second_order(HarmonicOscillator(),
                               SecondOrderState([1.0], [0.0], [-1.0], 0.0),
@@ -433,9 +433,6 @@ class SpringChain:
         self.stiff = np.array([-one, 2.0 * one, -one])
         for band in (self.mass, self.damp, self.stiff):
             band[0, 0] = band[2, -1] = 0.0
-
-    def dimension(self):
-        return self.m
 
     def residual(self, u_ddot, u_dot, u, t):
         return (Tridiagonal(self.mass) @ u_ddot + Tridiagonal(self.damp) @ u_dot
@@ -505,3 +502,76 @@ class TestIntegrateErrorContext:
                       [0.1] * 5, params_from_rho_inf(0.5))
         assert type(info.value) is AdmissibilityError
         assert str(info.value) == "step 2 (t=0.2, dt=0.1): left the admissible set"
+
+
+def _coupling(m):
+    """0.5*I plus an antisymmetric coupling of neighbours, for any m >= 1."""
+    return 0.5 * np.eye(m) + np.eye(m, k=1) - np.eye(m, k=-1)
+
+
+class _FirstOrderContract:
+    """R = U̇ + A U with A = `_coupling(m)`: the two members of the contract."""
+
+    def residual(self, u_dot, u, t):
+        return u_dot + _coupling(len(u)) @ u
+
+    def iteration_matrix(self, c_dot, c_u, u_dot, u, t):
+        return c_dot * np.eye(len(u)) + c_u * _coupling(len(u))
+
+
+class _SecondOrderContract:
+    """R = Ü + A U̇ + U with A = `_coupling(m)`: the two members of the contract."""
+
+    def residual(self, u_ddot, u_dot, u, t):
+        return u_ddot + _coupling(len(u)) @ u_dot + u
+
+    def iteration_matrix(self, c_ddot, c_dot, c_u, u_ddot, u_dot, u, t):
+        m = len(u)
+        return (c_ddot + c_u) * np.eye(m) + c_dot * _coupling(m)
+
+
+def _members(cls):
+    return {name for name in vars(cls) if not name.startswith("__")}
+
+
+class TestSystemContract:
+    """A system needs only `residual` and `iteration_matrix`; m = 1 steps
+    in Python floats and m = 3 in arrays."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_first_order_residual_and_matrix_suffice(self, m):
+        system = _FirstOrderContract()
+        assert _members(_FirstOrderContract) == {"residual", "iteration_matrix"}
+        p, dts = params_from_rho_inf(0.5), [0.1] * 6
+        u0 = np.linspace(1.0, 2.0, m)
+        v0 = consistent_initial_rate(system, u0)
+        assert np.max(np.abs(v0 + _coupling(m) @ u0)) <= 1e-14
+        states = integrate(system, StatePair(u0, v0, 0.0), dts, p)
+        am, af = p.alpha_m, p.alpha_f
+        for before, after, dt in zip(states, states[1:], dts):
+            again = step(system, before, dt, p)
+            assert again.u.tobytes() == after.u.tobytes()
+            assert again.u_dot.tobytes() == after.u_dot.tobytes()
+            v_am = (1 - am) * before.u_dot + am * after.u_dot
+            u_af = (1 - af) * before.u + af * after.u
+            assert np.max(np.abs(system.residual(v_am, u_af, 0.0))) <= 1e-12
+            assert midpoint_identity_residual(before, after, dt, p) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_second_order_residual_and_matrix_suffice(self, m):
+        system = _SecondOrderContract()
+        assert _members(_SecondOrderContract) == {"residual", "iteration_matrix"}
+        p, dt = params_from_rho_inf(0.5), 0.1
+        u0, v0 = np.linspace(1.0, 2.0, m), np.linspace(-0.5, 0.5, m)
+        a0 = consistent_initial_acceleration(system, u0, v0)
+        assert np.max(np.abs(system.residual(a0, v0, u0, 0.0))) <= 1e-14
+        state = SecondOrderState(u0, v0, a0, 0.0)
+        am, af = p.alpha_m, p.alpha_f
+        for _ in range(6):
+            after = step_second_order(system, state, dt, p)
+            a_am = (1 - am) * state.u_ddot + am * after.u_ddot
+            v_af = (1 - af) * state.u_dot + af * after.u_dot
+            u_af = (1 - af) * state.u + af * after.u
+            assert np.max(np.abs(system.residual(a_am, v_af, u_af, 0.0))) <= 1e-12
+            assert second_order_identity_residual(state, after, dt, p) <= 1e-13
+            state = after

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from genalpha import (AmplificationMatrix, ConvergenceReport, StatePair,
-                      amplification_matrix, make_params, observed_order,
+from genalpha import (AmplificationMatrix, ConvergenceReport, GenAlphaParams,
+                      StatePair, amplification_matrix, observed_order,
                       params_from_rho_inf, spectral_radius, step)
 from genalpha.odes import ScalarLinear
 
@@ -93,15 +93,12 @@ class TestObservedOrder:
 
     def test_first_order_when_gamma_wrong(self):
         base = params_from_rho_inf(0.5)
-        p = make_params(base.alpha_m, base.alpha_f, base.gamma + 0.25)
+        p = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.25)
         rep = observed_order(ScalarLinear(-1.0), 1.0, [0.1, 0.05, 0.025, 0.0125], p)
         assert 0.8 <= rep.observed_order <= 1.2
 
     def test_degenerate_fit_flagged(self):
         class ConstantExact:
-            def dimension(self):
-                return 1
-
             def residual(self, u_dot, u, t):
                 return np.array(u_dot, copy=True)
 
