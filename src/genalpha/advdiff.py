@@ -286,14 +286,3 @@ def project_initial(mesh: Mesh1D, u0: Callable) -> np.ndarray:
     x_quad = mesh.nodes[:-1, None] + mesh.dx * np.asarray(_QP)[None, :]
     rhs = _load(mesh.dx, np.asarray(u0(x_quad), dtype=float))
     return _assemble(element_mass(mesh.dx), mesh.n_elements + 1).solve(rhs)
-
-
-def stabilization_form(system: AdvDiffSystem, v, w) -> float:
-    """SUPG form S(v, w) = sum_e int tau (a w') (a v'); zero for constant w."""
-    if system.tau == 0.0:
-        return 0.0
-    dx, a = system.mesh.dx, system.config.a
-    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
-    dv = (v[1:] - v[:-1]) / dx
-    dw = (w[1:] - w[:-1]) / dx
-    return float(np.sum(dx * system.tau * (a * dw) * (a * dv)))

@@ -2,10 +2,11 @@
 
 Three discretizations of U_t + F(U, U_x)_x = S on the periodic unit interval:
 
-* conservation variables (ConservedSystem), a plain residual system;
 * nonconservation variables V with the temporal term
-  (dU/dV)(V_{n+af}) V̇_{n+am} (NonconservativeSystem), also a plain residual
-  system but one whose fully-discrete totals drift;
+  (dU/dV)(V_{n+af}) V̇_{n+am} (NonconservativeSystem), a plain residual
+  system whose fully-discrete totals drift;
+* conservation variables (ConservedSystem), the identity-map case V = U of
+  the one set of kernels in `_PeriodicGalerkinBase`;
 * the modified scheme (ModifiedNonconservativeSystem) whose temporal term is
   the difference quotient of shifted conserved states
   Û± = U(V) + (af - 1/2)*dt*(dU/dV)(V)*V̇, restoring the discrete balance
@@ -351,7 +352,14 @@ def project_periodic(space: PeriodicFemSpace, fn: Callable, p: int) -> np.ndarra
 
 
 class _PeriodicGalerkinBase:
-    """Shared geometry, step problem and audit plumbing for the three systems.
+    """The kernels of the three systems over a variable map U(V), with
+    their geometry, step problem and audit plumbing.
+
+    R rows are int((dU/dV) V̇ W) - int(F W') - int(S W) at U(V), plus a
+    componentwise gradient penalty of coefficient `stab` (it vanishes
+    against constant test functions).  The conserved system is the
+    identity-map case: `varmap=None` means V = U, and the kernels skip the
+    identity products dU/dV = I, H = 0.
 
     Every Jacobian a system's step problem builds is written into one (m, m)
     buffer of that system, allocated at its first step, so a step-problem
@@ -359,10 +367,14 @@ class _PeriodicGalerkinBase:
     `iteration_matrix` without `out` returns a new array.
     """
 
-    def __init__(self, space: PeriodicFemSpace, p: int):
+    def __init__(self, space: PeriodicFemSpace, model, varmap=None,
+                 stab: float = 0.0):
         self.space = space
-        self.p = p
-        self.m = space.n_elements * p
+        self.model = model
+        self.varmap = varmap
+        self.stab = stab
+        self.p = model.p
+        self.m = space.n_elements * self.p
         self.x_quad = space.quad_points()
         self._jacobian = None
 
@@ -384,61 +396,117 @@ class _PeriodicGalerkinBase:
     def balance_outflow(self, u_alpha_f, t_alpha_f: float) -> float:
         return 0.0  # periodic domain has no boundary flux
 
+    def _check(self, *fields):
+        """Admissibility of V fields, each (n_el, 3, p): the first bad point
+        in the order a pointwise loop over (element, point, field) meets it.
+        The unchecked varmap formulas are then called on them.  Conserved
+        fields are left to the model, which checks what it evaluates."""
+        if self.varmap is None:
+            return
+        if len(fields) == 1:
+            self.varmap.check(fields[0], self.x_quad)
+        else:
+            self.varmap.check(np.stack(fields, axis=2), self.x_quad[:, :, None])
+
+    def _conserved_fields(self, v, dv):
+        """dU/dV (None when V = U), U and U_x at checked stacked points."""
+        if self.varmap is None:
+            return None, v, dv
+        a0 = self.varmap._jacobian(v)
+        return a0, self.varmap._to_conserved(v), _matvec(a0, dv)
+
+    def _model_blocks(self, v, dv, conserved, t):
+        """The Hessian H of U (None when V = U) and the V-derivative blocks
+        of the flux and of the source at checked points, given their
+        `_conserved_fields`: (H, F_val, F_der, S_val, S_der).
+
+        F and S depend on V through U(V) and U_x = (dU/dV) V_x, so each
+        derivative splits into a value part (A_U A0 + A_Ux (H : V_x)) and an
+        x-derivative part (A_Ux A0), with A0 = dU/dV.
+        """
+        a0, u, du = conserved
+        a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
+        s_u, s_ux = self.model.source_jacobian(u, du, self.x_quad, t)
+        if a0 is None:
+            return None, a_u, a_ux, s_u, s_ux
+        h = self.varmap._hessian(v)
+        h_dv = np.einsum("...jkl,...k->...jl", h, dv)
+        return (h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0,
+                s_u @ a0 + s_ux @ h_dv, s_ux @ a0)
+
+    def _shifted(self, v, v_dot, shift):
+        """Û = U(V) + shift * (dU/dV)(V) V̇ at checked stacked points."""
+        return (self.varmap._to_conserved(v)
+                + shift * _matvec(self.varmap._jacobian(v), v_dot))
+
+    def residual(self, v_dot, v, t):
+        vals, derivs = _field_values(self.space, v, self.p)
+        dot_vals, _ = _field_values(self.space, v_dot, self.p)
+        self._check(vals)
+        a0, u, du = self._conserved_fields(vals, derivs)
+        x = self.x_quad
+        flux = self.model.flux(u, du, x, t) - self.stab * derivs
+        rate = dot_vals if a0 is None else _matvec(a0, dot_vals)
+        temporal = rate - self.model.source(u, du, x, t)
+        return self.space.assemble_rows(temporal, flux)
+
+    def iteration_matrix(self, c_dot, c_u, v_dot, v, t, out=None):
+        vals, derivs = _field_values(self.space, v, self.p)
+        self._check(vals)
+        conserved = self._conserved_fields(vals, derivs)
+        h, f_val, f_der, s_val, s_der = self._model_blocks(vals, derivs,
+                                                           conserved, t)
+        eye = np.eye(self.p)
+        if h is None:
+            rate = c_dot * eye
+        else:
+            dot_vals, _ = _field_values(self.space, v_dot, self.p)
+            rate = (c_dot * conserved[0]
+                    + c_u * np.einsum("...jkl,...k->...jl", h, dot_vals))
+        return self.space.assemble_matrix(
+            rate - c_u * s_val, c_u * f_val, c_u * (f_der - self.stab * eye),
+            t_der=-c_u * s_der, out=out)
+
+    def total(self, coeffs) -> np.ndarray:
+        """Integral of the pointwise conserved field U(V^h)."""
+        vals, _ = _field_values(self.space, coeffs, self.p)
+        self._check(vals)
+        return self.space.integrate(
+            vals if self.varmap is None else self.varmap._to_conserved(vals))
+
+    def shifted_balance_total(self, state: StatePair, dt: float,
+                              alpha_f: float) -> np.ndarray:
+        """Integral of Û = U(V^h) + (alpha_f - 1/2)*dt*(dU/dV)(V^h) V̇^h; for
+        V = U, the total of the `shifted_state` coefficients."""
+        if self.varmap is None:
+            return self.total(shifted_state(state, dt, alpha_f))
+        vals, _ = _field_values(self.space, state.u, self.p)
+        dot_vals, _ = _field_values(self.space, state.u_dot, self.p)
+        self._check(vals)
+        return self.space.integrate(
+            self._shifted(vals, dot_vals, (alpha_f - 0.5) * dt))
+
+    def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
+        vals, derivs = _field_values(self.space, u_alpha_f, self.p)
+        self._check(vals)
+        _, u, du = self._conserved_fields(vals, derivs)
+        return self.space.integrate(
+            self.model.source(u, du, self.x_quad, t_alpha_f))
+
 
 class ConservedSystem(_PeriodicGalerkinBase):
-    """Galerkin residual in conservation variables, R(U̇, U, t).
-
-    R rows are int(U̇ W) - int(F W') - int(S W) plus the optional
-    componentwise gradient-penalty stabilization (a fixed-coefficient
-    streamline operator; it vanishes against constant test functions).
+    """Galerkin residual in conservation variables, R(U̇, U, t): the kernels'
+    identity-map case, with the optional `supg-like` gradient penalty of
+    coefficient dx/2.
     """
 
     admits_balance_law = True
 
     def __init__(self, space: PeriodicFemSpace, model, stabilization: str = "none"):
-        super().__init__(space, model.p)
         if stabilization not in ("none", "supg-like"):
             raise ValueError(f"unknown stabilization {stabilization!r}")
-        self.model = model
-        self.stab = 0.5 * space.dx if stabilization == "supg-like" else 0.0
-
-    def residual(self, u_dot, u, t):
-        vals, derivs = _field_values(self.space, u, self.p)
-        dot_vals, _ = _field_values(self.space, u_dot, self.p)
-        x = self.x_quad
-        flux = self.model.flux(vals, derivs, x, t) - self.stab * derivs
-        temporal = dot_vals - self.model.source(vals, derivs, x, t)
-        return self.space.assemble_rows(temporal, flux)
-
-    def iteration_matrix(self, c_dot, c_u, u_dot, u, t, out=None):
-        vals, derivs = _field_values(self.space, u, self.p)
-        x, eye = self.x_quad, np.eye(self.p)
-        a_u, a_ux = self.model.flux_jacobian(vals, derivs, x, t)
-        s_u, s_ux = self.model.source_jacobian(vals, derivs, x, t)
-        return self.space.assemble_matrix(
-            c_dot * eye - c_u * s_u, c_u * a_u, c_u * (a_ux - self.stab * eye),
-            t_der=-c_u * s_ux, out=out)
-
-    def total(self, coeffs) -> np.ndarray:
-        return self.space.integrate(_field_values(self.space, coeffs, self.p)[0])
-
-    def shifted_balance_total(self, state: StatePair, dt: float,
-                              alpha_f: float) -> np.ndarray:
-        return self.total(shifted_state(state, dt, alpha_f))
-
-    def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
-        vals, derivs = _field_values(self.space, u_alpha_f, self.p)
-        return self.space.integrate(
-            self.model.source(vals, derivs, self.x_quad, t_alpha_f))
-
-
-def stabilization_form(system: ConservedSystem, v, w) -> float:
-    """Componentwise gradient-penalty form S(v, w); zero when w is constant."""
-    if system.stab == 0.0:
-        return 0.0
-    _, dv = _field_values(system.space, v, system.p)
-    _, dw = _field_values(system.space, w, system.p)
-    return float(np.sum(system.space.integrate(system.stab * dv * dw)))
+        stab = 0.5 * space.dx if stabilization == "supg-like" else 0.0
+        super().__init__(space, model, stab=stab)
 
 
 class NonconservativeSystem(_PeriodicGalerkinBase):
@@ -454,83 +522,7 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
     def __init__(self, space: PeriodicFemSpace, model, varmap):
         if model.p != varmap.p:
             raise ValueError("model and variable map disagree on p")
-        super().__init__(space, model.p)
-        self.model = model
-        self.varmap = varmap
-
-    def _check(self, *fields):
-        """Admissibility of V fields, each (n_el, 3, p): the first bad point
-        in the order a pointwise loop over (element, point, field) meets it.
-        The unchecked varmap formulas are then called on them."""
-        if len(fields) == 1:
-            self.varmap.check(fields[0], self.x_quad)
-        else:
-            self.varmap.check(np.stack(fields, axis=2), self.x_quad[:, :, None])
-
-    def _conserved_fields(self, v, dv):
-        """dU/dV, U and U_x at checked stacked points."""
-        a0 = self.varmap._jacobian(v)
-        return a0, self.varmap._to_conserved(v), _matvec(a0, dv)
-
-    def _flux_blocks(self, v, dv, conserved, t):
-        """The Hessian of U and the flux's V-derivative blocks at checked
-        points, given their `_conserved_fields`.
-
-        The flux depends on V through U(V) and U_x = (dU/dV) V_x, so its
-        derivative splits into a value part (A_U A0 + A_Ux (H : V_x)) and an
-        x-derivative part (A_Ux A0).
-        """
-        a0, u, du = conserved
-        a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
-        h = self.varmap._hessian(v)
-        h_dv = np.einsum("...jkl,...k->...jl", h, dv)
-        return h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
-
-    def _shifted(self, v, v_dot, shift):
-        """Û = U(V) + shift * (dU/dV)(V) V̇ at checked stacked points."""
-        return (self.varmap._to_conserved(v)
-                + shift * _matvec(self.varmap._jacobian(v), v_dot))
-
-    def total(self, coeffs) -> np.ndarray:
-        """Integral of the pointwise conserved field U(V^h)."""
-        vals, _ = _field_values(self.space, coeffs, self.p)
-        self._check(vals)
-        return self.space.integrate(self.varmap._to_conserved(vals))
-
-    def shifted_balance_total(self, state: StatePair, dt: float,
-                              alpha_f: float) -> np.ndarray:
-        """Integral of Û = U(V^h) + (alpha_f - 1/2)*dt*(dU/dV)(V^h) V̇^h."""
-        vals, _ = _field_values(self.space, state.u, self.p)
-        dot_vals, _ = _field_values(self.space, state.u_dot, self.p)
-        self._check(vals)
-        return self.space.integrate(
-            self._shifted(vals, dot_vals, (alpha_f - 0.5) * dt))
-
-    def balance_source(self, u_alpha_f, t_alpha_f: float) -> np.ndarray:
-        vals, derivs = _field_values(self.space, u_alpha_f, self.p)
-        self._check(vals)
-        _, u, du = self._conserved_fields(vals, derivs)
-        return self.space.integrate(
-            self.model.source(u, du, self.x_quad, t_alpha_f))
-
-    def residual(self, v_dot, v, t):
-        vals, derivs = _field_values(self.space, v, self.p)
-        dot_vals, _ = _field_values(self.space, v_dot, self.p)
-        self._check(vals)
-        a0, u, du = self._conserved_fields(vals, derivs)
-        flux = self.model.flux(u, du, self.x_quad, t)
-        temporal = _matvec(a0, dot_vals) - self.model.source(u, du, self.x_quad, t)
-        return self.space.assemble_rows(temporal, flux)
-
-    def iteration_matrix(self, c_dot, c_u, v_dot, v, t, out=None):
-        vals, derivs = _field_values(self.space, v, self.p)
-        dot_vals, _ = _field_values(self.space, v_dot, self.p)
-        self._check(vals)
-        conserved = self._conserved_fields(vals, derivs)
-        h, df_val, df_der = self._flux_blocks(vals, derivs, conserved, t)
-        h_vdot = np.einsum("...jkl,...k->...jl", h, dot_vals)
-        return self.space.assemble_matrix(c_dot * conserved[0] + c_u * h_vdot,
-                                          c_u * df_val, c_u * df_der, out=out)
+        super().__init__(space, model, varmap)
 
 
 class _Iterate(NamedTuple):
@@ -620,8 +612,9 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
         h_w = np.einsum("...jkl,...k->...jl",
                         self.varmap._hessian(it.v_np1), it.w)
         temporal = (g + shift) * it.a0_np1 + shift * g * dt * h_w
-        _, df_val, df_der = self._flux_blocks(it.v_af, it.dv_af, it.conserved_af,
-                                              t_af)
+        _, f_val, f_der, s_val, s_der = self._model_blocks(
+            it.v_af, it.dv_af, it.conserved_af, t_af)
         c_u = af * g * dt  # dV_af/dW
-        return self.space.assemble_matrix(temporal, c_u * df_val, c_u * df_der,
-                                          out=self._jacobian_buffer())
+        return self.space.assemble_matrix(
+            temporal - c_u * s_val, c_u * f_val, c_u * f_der,
+            t_der=-c_u * s_der, out=self._jacobian_buffer())

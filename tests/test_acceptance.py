@@ -16,17 +16,18 @@ from genalpha import (GenAlphaParams, NewtonSettings, SecondOrderState,
                       second_order_identity_residual, shifted_state, step,
                       step_second_order)
 from genalpha.advdiff import (AdvDiffConfig, AdvDiffSystem, Mesh1D,
-                              project_initial, stabilization_form)
+                              project_initial)
 from genalpha.audit import BalanceLedger
 from genalpha.conslaw import (Burgers1D, ConservedSystem, Euler1D,
                               ModifiedNonconservativeSystem,
                               NonconservativeSystem, PeriodicFemSpace,
                               PressurePrimitiveMap)
-from genalpha.conslaw import stabilization_form as system_stabilization_form
 from genalpha.linear_analysis import (amplification_matrix, observed_order,
                                       spectral_radius)
 from genalpha.odes import HarmonicOscillator, ScalarLinear
-from model_systems import GenericFirstOrder
+from model_systems import (GenericFirstOrder,
+                           advdiff_stabilization_form as stabilization_form,
+                           conslaw_stabilization_form as system_stabilization_form)
 
 LEDGER_NEWTON = NewtonSettings(abs_tol=1e-13, rel_tol=1e-13, max_iters=40)
 

@@ -13,10 +13,10 @@ from genalpha import (NewtonSettings, StatePair, consistent_initial_rate,
                       integrate, params_from_rho_inf)
 from genalpha.advdiff import (_QP, _QW, AdvDiffConfig, AdvDiffSystem, Mesh1D,
                               Tridiagonal, element_advection, element_mass,
-                              element_stiffness, project_initial,
-                              stabilization_form, supg_tau)
+                              element_stiffness, project_initial, supg_tau)
 from genalpha.config import parse_config
 from genalpha.experiments import run_experiment
+from model_systems import advdiff_stabilization_form as stabilization_form
 
 RNG = np.random.default_rng(20260809)
 

@@ -13,7 +13,9 @@ from genalpha.conslaw import (_QP, _QW, Burgers1D, ConservedSystem, Euler1D,
                               ModifiedNonconservativeSystem,
                               NonconservativeSystem, PeriodicFemSpace,
                               PressurePrimitiveMap, _field_values,
-                              project_periodic, stabilization_form)
+                              project_periodic)
+from model_systems import (IdentityMap,
+                           conslaw_stabilization_form as stabilization_form)
 
 RNG = np.random.default_rng(42)
 GAS = 1.4
@@ -263,6 +265,22 @@ class TestStabilization:
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
+class SourceEuler(Euler1D):
+    """Euler with a source -0.1 U + 0.3 U_x, so the source Jacobian has a
+    value and an x-derivative part."""
+
+    def source(self, u, du_dx, x, t):
+        return -0.1 * u + 0.3 * du_dx
+
+    def source_jacobian(self, u, du_dx, x, t):
+        eye = np.broadcast_to(np.eye(3), np.shape(u) + (3,))
+        return -0.1 * eye, 0.3 * eye
+
+
+NONCONSERVATIVE_MODELS = pytest.mark.parametrize(
+    "model", [Euler1D(GAS), SourceEuler(GAS)], ids=["euler", "euler-source"])
+
+
 class TestNonconservative:
     def setup_method(self):
         self.space = PeriodicFemSpace(8)
@@ -288,8 +306,9 @@ class TestNonconservative:
         assert (consistent_initial_rate(mod, v0, 0.0).tobytes()
                 == consistent_initial_rate(std, v0, 0.0).tobytes())
 
-    def test_standard_iteration_matrix_matches_fd(self):
-        system = NonconservativeSystem(self.space, self.model, self.vm)
+    @NONCONSERVATIVE_MODELS
+    def test_standard_iteration_matrix_matches_fd(self, model):
+        system = NonconservativeSystem(self.space, model, self.vm)
         v = system.project(ic_primitive)
         v_dot = 0.1 * RNG.normal(size=v.size)
         d = RNG.normal(size=v.size)
@@ -301,8 +320,9 @@ class TestNonconservative:
         action = system.iteration_matrix(c_dot, c_u, v_dot, v, 0.0) @ d
         assert np.max(np.abs(action - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
-    def test_modified_jacobian_matches_fd(self):
-        system = ModifiedNonconservativeSystem(self.space, self.model, self.vm)
+    @NONCONSERVATIVE_MODELS
+    def test_modified_jacobian_matches_fd(self, model):
+        system = ModifiedNonconservativeSystem(self.space, model, self.vm)
         params = params_from_rho_inf(0.5)
         v0 = system.project(ic_primitive)
         vd0 = 0.1 * RNG.normal(size=v0.size)
@@ -681,6 +701,37 @@ class TestBatchedKernelsMatchLoopOracle:
         assert forced.balance_source(u, 0.0)[0] == pytest.approx(0.25, abs=1e-14)
         assert np.max(np.abs(plain.residual(u, u, 0.0)
                              - forced.residual(u, u, 0.0))) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("case", ["burgers-viscous-source",
+                                  "burgers-gradient-source", "euler"])
+def test_identity_map_is_the_conserved_system(case, n):
+    # the V-variable kernels under U(V) = V give the conserved kernels' bits;
+    # the shifted total integrates U + shift*U̇ pointwise, not the shifted
+    # coefficients, so it agrees to rounding
+    build, kind = ORACLE_CASES[case]
+    rng = np.random.default_rng(2000 + n)
+    conserved = build(PeriodicFemSpace(n))
+    mapped = NonconservativeSystem(conserved.space, conserved.model,
+                                   IdentityMap(conserved.p))
+    u = random_admissible(conserved, kind, rng)
+    u_dot = 0.1 * rng.normal(size=u.size)
+    t, dt, alpha_f = 0.3, 1e-2, params_from_rho_inf(0.5).alpha_f
+
+    def outputs(system):
+        return (system.residual(u_dot, u, t),
+                system.iteration_matrix(0.8, 0.15, u_dot, u, t))
+
+    for got, want in zip(outputs(mapped), outputs(conserved)):
+        assert got.tobytes() == want.tobytes()
+    state = StatePair(u, u_dot, t)
+    for total in (lambda s: s.total(u),
+                  lambda s: s.shifted_balance_total(state, dt, alpha_f),
+                  lambda s: s.balance_source(u, t)):
+        want = total(conserved)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(total(mapped) - want)) <= 1e-15 * scale
 
 
 def _one_bad_element(kind, n, k):

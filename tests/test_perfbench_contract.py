@@ -6,6 +6,9 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +73,49 @@ def test_tracer_targets_resolve():
     newton = getattr(importlib.import_module(f"genalpha.{module_name}"), attr)
     assert list(inspect.signature(newton).parameters)[:2] == ["residual",
                                                               "jacobian"]
+
+
+# one residual and one iteration matrix on each of two systems, traced; run
+# in a fresh interpreter, since the tracer patches the package's classes
+_TRACED_KERNELS = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+tracer = Tracer("kernels")
+tracer.install()
+from genalpha.conslaw import (Burgers1D, ConservedSystem, Euler1D,
+                              NonconservativeSystem, PeriodicFemSpace,
+                              PressurePrimitiveMap)
+space = PeriodicFemSpace(8)
+u = 0.1 * np.sin(np.arange(8.0))
+v = np.tile([1.0, 0.1, 1.0], 8)
+for system, x in ((ConservedSystem(space, Burgers1D(0.01)), u),
+                  (NonconservativeSystem(space, Euler1D(1.4),
+                                         PressurePrimitiveMap(1.4)), v)):
+    system.residual(0.5 * x, x, 0.0)
+    system.iteration_matrix(0.8, 0.1, 0.5 * x, x, 0.0)
+print(json.dumps([span[:3] for span in tracer.spans]))
+"""
+
+
+def test_tracer_spans_each_kernel_call_once():
+    # both classes' targets resolve to the one base-class kernel, which must
+    # be wrapped once: one span per call, none inside a span of its own kind
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACED_KERNELS, str(ROOT / "perfbench")],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    spans = {sid: (parent, name) for sid, parent, name in json.loads(run.stdout)}
+
+    def ancestors(sid):
+        parent = spans[sid][0]
+        while parent is not None:
+            yield spans[parent][1]
+            parent = spans[parent][0]
+
+    for kind in ("conslaw.residual", "conslaw.iteration_matrix"):
+        own = [sid for sid, (_, name) in spans.items() if name == kind]
+        assert len(own) == 2
+        assert all(kind not in ancestors(sid) for sid in own)
+
