@@ -53,7 +53,6 @@ _READS = {
 _TRIPLE = ("alpha_m", "alpha_f", "gamma")
 _READ_BY_ALL = ("name", "rho_inf") + _TRIPLE + ("directory", "csv")
 
-_DEFAULT_DT_LIST = (0.1, 0.05, 0.025, 0.0125)
 # keys whose ExperimentConfig field has another name
 _FIELDS = {"name": "experiment", "directory": "out_dir", "csv": "write_csv"}
 
@@ -67,7 +66,7 @@ class ExperimentConfig:
     alpha_f: float | None = None
     gamma: float | None = None
     dt: float = 1e-3
-    dt_list: tuple[float, ...] | None = None
+    dt_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
     dt_schedule: tuple[float, ...] | None = None
     schedule_repeats: bool = False
     n_steps: int = 100
@@ -85,8 +84,7 @@ class ExperimentConfig:
     def params(self) -> GenAlphaParams:
         if self.rho_inf is not None:
             return params_from_rho_inf(self.rho_inf)
-        beta = 0.25 * (1.0 + self.alpha_m - self.alpha_f) ** 2
-        return GenAlphaParams(self.alpha_m, self.alpha_f, self.gamma, beta=beta)
+        return GenAlphaParams(self.alpha_m, self.alpha_f, self.gamma)
 
     def step_sizes(self) -> list[float]:
         """Per-step dt schedule for run-style experiments."""
@@ -242,8 +240,6 @@ def parse_config(text: str) -> ExperimentConfig:
             fields["n_steps"] = len(fields["dt_schedule"])
     if triple:
         fields["rho_inf"] = None
-    if name == "ode-convergence":
-        fields.setdefault("dt_list", _DEFAULT_DT_LIST)
     config = ExperimentConfig(**fields)
 
     if triple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -47,24 +47,29 @@ class GenAlphaParams:
 
     An explicit triple is stored verbatim: non-second-order and unstable
     combinations are admitted so that the diagnostics can be exercised;
-    only non-finite values and gamma = 0 are rejected.  `beta` is only
-    consumed by the second-order-IVP stepper; `params_from_rho_inf`
-    attaches it, and it may be given by hand.
+    only non-finite values and gamma = 0 are rejected.  `beta`, read only by
+    the second-order-IVP stepper, is derived, not given: Chung and
+    Hulbert's (1 + alpha_m - alpha_f)^2/4, which must be finite too.
     """
 
     alpha_m: float
     alpha_f: float
     gamma: float
     rho_inf: float | None = None
-    beta: float | None = None
+    beta: float = field(init=False)
 
     def __post_init__(self):
-        vals = (self.alpha_m, self.alpha_f, self.gamma) + (
-            () if self.beta is None else (self.beta,))
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"parameters must be finite, got {vals}")
+        try:
+            beta = 0.25 * (1.0 + self.alpha_m - self.alpha_f) ** 2
+        except OverflowError:
+            beta = math.inf
+        vals = (self.alpha_m, self.alpha_f, self.gamma)
+        if not all(np.isfinite(v) for v in vals + (beta,)):
+            raise ValueError(f"parameters and beta = (1 + alpha_m - alpha_f)^2/4 "
+                             f"must be finite, got {vals}")
         if self.gamma == 0.0:
             raise ValueError("gamma = 0 leaves U̇_{n+1} (Ü_{n+1}) undetermined")
+        object.__setattr__(self, "beta", beta)
 
     def is_second_order(self) -> bool:
         return abs(self.gamma - (0.5 + self.alpha_m - self.alpha_f)) <= _FLAG_TOL
@@ -79,16 +84,29 @@ def params_from_rho_inf(rho_inf: float) -> GenAlphaParams:
 
     alpha_m = (3 - rho_inf) / (2*(1 + rho_inf)), alpha_f = 1/(1 + rho_inf),
     gamma = alpha_f.  The returned params are second-order accurate and
-    unconditionally stable for the linear model problem; beta is set to
-    (1 + alpha_m - alpha_f)^2 / 4 for second-order-IVP use.
+    unconditionally stable for the linear model problem; their beta is
+    derived by `GenAlphaParams`.
     """
     if not (0.0 <= rho_inf <= 1.0) or not np.isfinite(rho_inf):
         raise ValueError(f"rho_inf must lie in [0, 1], got {rho_inf}")
     alpha_m = 0.5 * (3.0 - rho_inf) / (1.0 + rho_inf)
     alpha_f = 1.0 / (1.0 + rho_inf)
     gamma = alpha_f
-    beta = 0.25 * (1.0 + alpha_m - alpha_f) ** 2
-    return GenAlphaParams(alpha_m, alpha_f, gamma, rho_inf=rho_inf, beta=beta)
+    return GenAlphaParams(alpha_m, alpha_f, gamma, rho_inf=rho_inf)
+
+
+def _check_state(state) -> None:
+    """`__post_init__` of the state classes: every field but t coerced by
+    `_as_vector`, all of one shape, with finite entries."""
+    *names, _ = state.__match_args__
+    arrays = [_as_vector(getattr(state, name)) for name in names]
+    if any(arr.shape != arrays[0].shape for arr in arrays):
+        raise ValueError(f"{', '.join(names)} dimensions differ: "
+                         f"{' vs '.join(str(arr.shape) for arr in arrays)}")
+    for name, arr in zip(names, arrays):
+        if not _all_finite(arr):
+            raise ValueError("state entries must be finite")
+        object.__setattr__(state, name, arr)
 
 
 @dataclass(frozen=True)
@@ -99,14 +117,7 @@ class StatePair:
     u_dot: np.ndarray
     t: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _as_vector(self.u))
-        object.__setattr__(self, "u_dot", _as_vector(self.u_dot))
-        if self.u.shape != self.u_dot.shape:
-            raise ValueError(f"u and u_dot dimensions differ: "
-                             f"{self.u.shape} vs {self.u_dot.shape}")
-        if not (_all_finite(self.u) and _all_finite(self.u_dot)):
-            raise ValueError("state entries must be finite")
+    __post_init__ = _check_state
 
 
 @dataclass(frozen=True)
@@ -118,14 +129,7 @@ class SecondOrderState:
     u_ddot: np.ndarray
     t: float
 
-    def __post_init__(self):
-        for name in ("u", "u_dot", "u_ddot"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name)))
-        if not (self.u.shape == self.u_dot.shape == self.u_ddot.shape):
-            raise ValueError("u, u_dot, u_ddot dimensions differ")
-        for name in ("u", "u_dot", "u_ddot"):
-            if not _all_finite(getattr(self, name)):
-                raise ValueError("state entries must be finite")
+    __post_init__ = _check_state
 
 
 class ResidualSystem(Protocol):
@@ -344,23 +348,28 @@ def _newton(residual: Callable[[np.ndarray], np.ndarray],
         norms.append(norm(r))
 
 
+def _consistent_top(system, lower: tuple, t0: float,
+                    newton: NewtonSettings) -> np.ndarray:
+    """The top derivative X with R(X, *lower, t0) = 0, by Newton from zero
+    with the lower fields held fixed; converges in one iteration whenever R
+    is linear in X (the usual mass-matrix case)."""
+    lower = tuple(map(_as_vector, lower))
+    zeros = (0.0,) * len(lower)
+
+    def res(x):
+        return system.residual(x, *lower, t0)
+
+    def jac(x):
+        return system.iteration_matrix(1.0, *zeros, x, *lower, t0)
+
+    x, _ = _newton(res, jac, np.zeros_like(lower[-1]), newton, use_rel_tol=False)
+    return x
+
+
 def consistent_initial_rate(system: ResidualSystem, u0, t0: float = 0.0,
                             newton: NewtonSettings = NewtonSettings()) -> np.ndarray:
-    """Rate U̇0 with R(U̇0, U0, t0) = 0, by Newton in the rate argument.
-
-    Starts from the zero vector; converges in one iteration whenever R is
-    linear in U̇ (the usual mass-matrix case).
-    """
-    u0 = _as_vector(u0)
-
-    def res(v):
-        return system.residual(v, u0, t0)
-
-    def jac(v):
-        return system.iteration_matrix(1.0, 0.0, v, u0, t0)
-
-    v, _ = _newton(res, jac, np.zeros_like(u0), newton, use_rel_tol=False)
-    return v
+    """Rate U̇0 with R(U̇0, U0, t0) = 0, by Newton in the rate from zero."""
+    return _consistent_top(system, (u0,), t0, newton)
 
 
 def _update_base(u_n, v_n, dt: float, gamma: float):
@@ -472,6 +481,22 @@ def shifted_state(state: StatePair, dt: float, alpha_f: float) -> np.ndarray:
     return state.u + (alpha_f - 0.5) * dt * state.u_dot
 
 
+def _identity_defect(top_n, top_np1, low_n, low_np1, dt,
+                     params: GenAlphaParams) -> np.ndarray:
+    """Inf-norm over the last axis of top_{n+am} - (low+ - low-)/dt.
+
+    low± := low + (alpha_f - 1/2)*dt*top at the interval's two ends, and
+    top_{n+am} := (1-alpha_m)*top_n + alpha_m*top_{n+1}.  The fields may
+    stack k steps as the rows of (k, m) arrays, with dt a (k, 1) column;
+    each row's defect then equals that step's alone to the bit.
+    """
+    am, af = params.alpha_m, params.alpha_f
+    top_am = (1.0 - am) * top_n + am * top_np1
+    low_plus = low_np1 + (af - 0.5) * dt * top_np1
+    low_minus = low_n + (af - 0.5) * dt * top_n
+    return np.abs(top_am - (low_plus - low_minus) / dt).max(axis=-1)
+
+
 def midpoint_identity_residual(state_n: StatePair, state_np1: StatePair,
                                dt: float, params: GenAlphaParams) -> float:
     """Inf-norm defect of U̇_{n+am} = (U+_{n+af} - U-_{n+af})/dt.
@@ -480,11 +505,9 @@ def midpoint_identity_residual(state_n: StatePair, state_np1: StatePair,
     whenever the parameters are second-order accurate; the defect equals
     (gamma - 1/2 - alpha_m + alpha_f)*(U̇_n - U̇_{n+1}) otherwise.
     """
-    am, af = params.alpha_m, params.alpha_f
-    v_am = (1.0 - am) * state_n.u_dot + am * state_np1.u_dot
-    u_plus = shifted_state(state_np1, dt, af)
-    u_minus = shifted_state(state_n, dt, af)
-    return float(np.abs(v_am - (u_plus - u_minus) / dt).max())
+    _check_dt(dt)
+    return float(_identity_defect(state_n.u_dot, state_np1.u_dot, state_n.u,
+                                  state_np1.u, dt, params))
 
 
 def consistent_initial_acceleration(system: SecondOrderResidualSystem, u0, v0,
@@ -492,16 +515,7 @@ def consistent_initial_acceleration(system: SecondOrderResidualSystem, u0, v0,
                                     newton: NewtonSettings = NewtonSettings()
                                     ) -> np.ndarray:
     """Acceleration Ü0 with R(Ü0, U̇0, U0, t0) = 0, by Newton from zero."""
-    u0, v0 = _as_vector(u0), _as_vector(v0)
-
-    def res(a):
-        return system.residual(a, v0, u0, t0)
-
-    def jac(a):
-        return system.iteration_matrix(1.0, 0.0, 0.0, a, v0, u0, t0)
-
-    a, _ = _newton(res, jac, np.zeros_like(u0), newton, use_rel_tol=False)
-    return a
+    return _consistent_top(system, (v0, u0), t0, newton)
 
 
 def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderState,
@@ -515,8 +529,6 @@ def step_second_order(system: SecondOrderResidualSystem, state_n: SecondOrderSta
     Newton unknown is Ü_{n+1}.  A state of one real component is stepped in
     Python floats (`_FLOATS`), with the same bits.
     """
-    if params.beta is None:
-        raise ValueError("second-order stepping requires params.beta")
     _check_dt(dt)
     am, af, g, beta = params.alpha_m, params.alpha_f, params.gamma, params.beta
     carry = _carrier(state_n.u, state_n.u_dot, state_n.u_ddot)
@@ -553,13 +565,6 @@ def second_order_identity_residual(state_n: SecondOrderState,
     """Inf-norm defect of Ü_{n+am} = (U̇_{n+af+1/2} - U̇_{n+af-1/2})/dt.
 
     U̇_{n+af±1/2} := U̇ + (alpha_f - 1/2)*dt*Ü at the respective interval end.
-    States whose fields stack k steps as the rows of (k, m) arrays, with dt
-    a (k, 1) column, give the k defects as an array; each equals the defect
-    of its step's pair of states to the bit.
     """
-    am, af = params.alpha_m, params.alpha_f
-    a_am = (1.0 - am) * state_n.u_ddot + am * state_np1.u_ddot
-    v_plus = state_np1.u_dot + (af - 0.5) * dt * state_np1.u_ddot
-    v_minus = state_n.u_dot + (af - 0.5) * dt * state_n.u_ddot
-    defect = np.abs(a_am - (v_plus - v_minus) / dt).max(axis=-1)
-    return float(defect) if defect.ndim == 0 else defect
+    return float(_identity_defect(state_n.u_ddot, state_np1.u_ddot,
+                                  state_n.u_dot, state_np1.u_dot, dt, params))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,18 +85,22 @@ def _check_ladder(dt_values: Sequence[float]) -> None:
 
 def ladder_steps(t_final: float, dt_values: Sequence[float]) -> list[int]:
     """Steps each dt takes to t_final in an order study, whose dt ladder
-    needs at least 3 strictly decreasing dts, each dividing t_final."""
+    needs at least 3 strictly decreasing dts, each dividing t_final into a
+    finite number of steps."""
     _check_ladder(dt_values)
-    steps = [round(t_final / dt) for dt in dt_values]
-    for n_steps, dt in zip(steps, dt_values):
-        if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+    steps = []
+    for dt in dt_values:
+        ratio = t_final / dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_final/dt = {t_final}/{dt} is not finite")
+        steps.append(round(ratio))
+        if abs(steps[-1] * dt - t_final) > 1e-9 * t_final:
             raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")
     return steps
 
 
 def observed_order(system, t_final: float, dt_values: Sequence[float],
-                   params: GenAlphaParams,
-                   newton: NewtonSettings = NewtonSettings()) -> ConvergenceReport:
+                   params: GenAlphaParams) -> ConvergenceReport:
     """Integrate to t_final for each dt of a `ladder_steps` ladder and fit
     the error slope.
 
@@ -108,9 +113,8 @@ def observed_order(system, t_final: float, dt_values: Sequence[float],
     errors = []
     for dt, n_steps in zip(dt_values, ladder_steps(t_final, dt_values)):
         state0 = StatePair(system.exact(0.0),
-                           consistent_initial_rate(system, system.exact(0.0), 0.0,
-                                                   newton), 0.0)
-        state = integrate(system, state0, [dt] * n_steps, params, newton)[-1]
+                           consistent_initial_rate(system, system.exact(0.0)), 0.0)
+        state = integrate(system, state0, [dt] * n_steps, params)[-1]
         errors.append(float(np.linalg.norm(state.u - u_ref, np.inf)))
 
     floor = 1e3 * _EPS * max(1.0, float(np.linalg.norm(u_ref, np.inf)))

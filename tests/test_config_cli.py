@@ -188,6 +188,12 @@ OUT_OF_RANGE_CONFIGS = {
     "triple-gamma-zero": ("[experiment]\nname = second-order-identity\n"
                           "[integrator]\nalpha_m = 0.5\nalpha_f = 0.5\n"
                           "gamma = 0\nn_steps = 2\n", 4),
+    "triple-beta-overflow": ("[experiment]\nname = second-order-identity\n"
+                             "[integrator]\nalpha_m = 1e200\nalpha_f = 0.5\n"
+                             "gamma = 1e200\n", 4),
+    "dt_list-steps-overflow": ("[experiment]\nname = ode-convergence\n"
+                               "[integrator]\nt_final = 1e300\n"
+                               "dt_list = 1e-10,5e-11,2.5e-11\n", 5),
     # a schedule without `repeat` sets the step count itself
     "schedule-n_steps-no-repeat": ("[experiment]\nname = conslaw-balance\n"
                                    "[integrator]\ndt_schedule = 0.001,0.002\n"

@@ -499,14 +499,17 @@ class LoopOracle:
 
     # nonconservation variables
 
-    def _flux_blocks(self, v, dv, x, t):
+    def _model_blocks(self, v, dv, x, t):
+        """The V-derivative value and x-derivative blocks of the flux and of
+        the source, by the chain rule through U(V) and U_x = (dU/dV) V_x."""
         a0 = self.varmap.jacobian(v, x)
         u = self.varmap.to_conserved(v, x)
         du = a0 @ dv
-        f = self.model.flux(u, du, x, t)
         a_u, a_ux = self.model.flux_jacobian(u, du, x, t)
+        s_u, s_ux = self.model.source_jacobian(u, du, x, t)
         h_dv = np.einsum("jkl,k->jl", self.varmap.hessian(v, x), dv)
-        return f, a_u @ a0 + a_ux @ h_dv, a_ux @ a0
+        return (a_u @ a0 + a_ux @ h_dv, a_ux @ a0,
+                s_u @ a0 + s_ux @ h_dv, s_ux @ a0)
 
     def _shifted(self, v, v_dot, shift, x):
         return (self.varmap.to_conserved(v, x)
@@ -533,10 +536,12 @@ class LoopOracle:
             a0 = self.varmap.jacobian(vals[e, q], x)
             h_vdot = np.einsum("jkl,k->jl", self.varmap.hessian(vals[e, q], x),
                                dot_vals[e, q])
-            _, df_val, df_der = self._flux_blocks(vals[e, q], derivs[e, q], x, t)
+            df_val, df_der, ds_val, ds_der = self._model_blocks(
+                vals[e, q], derivs[e, q], x, t)
             self._add_blocks(out, nodes, xi, w, lambda pa, pb, da, db: (
                 c_dot * pa * pb * a0 + c_u * pa * pb * h_vdot
-                - c_u * da * (df_val * pb + df_der * db)))
+                - c_u * da * (df_val * pb + df_der * db)
+                - c_u * pa * (ds_val * pb + ds_der * db)))
         return out
 
     def _step_fields(self, w_unknown, state_n, dt, params):
@@ -577,9 +582,11 @@ class LoopOracle:
             h_w = np.einsum("jkl,k->jl", self.varmap.hessian(vp[e, q], x), wv[e, q])
             temporal = ((g + shift) * self.varmap.jacobian(vp[e, q], x)
                         + shift * g * dt * h_w)
-            _, df_val, df_der = self._flux_blocks(vaf[e, q], dvaf[e, q], x, t_af)
+            df_val, df_der, ds_val, ds_der = self._model_blocks(
+                vaf[e, q], dvaf[e, q], x, t_af)
             self._add_blocks(out, nodes, xi, w, lambda pa, pb, da, db: (
-                pa * pb * temporal - c_u * da * (df_val * pb + df_der * db)))
+                pa * pb * temporal - c_u * da * (df_val * pb + df_der * db)
+                - c_u * pa * (ds_val * pb + ds_der * db)))
         return out
 
     def primitive_total(self, coeffs):
@@ -634,6 +641,10 @@ ORACLE_CASES = {
         space, Euler1D(GAS), PressurePrimitiveMap(GAS)), "primitive"),
     "primitive-modified": (lambda space: ModifiedNonconservativeSystem(
         space, Euler1D(GAS), PressurePrimitiveMap(GAS)), "primitive"),
+    "primitive-standard-source": (lambda space: NonconservativeSystem(
+        space, SourceEuler(GAS), PressurePrimitiveMap(GAS)), "primitive"),
+    "primitive-modified-source": (lambda space: ModifiedNonconservativeSystem(
+        space, SourceEuler(GAS), PressurePrimitiveMap(GAS)), "primitive"),
 }
 
 
@@ -677,7 +688,7 @@ class TestBatchedKernelsMatchLoopOracle:
         assert_close(system.shifted_balance_total(state, dt, params.alpha_f),
                      shifted(state, dt, params.alpha_f))
         assert_close(system.balance_source(u, t), source(u, t))
-        if case == "primitive-modified":
+        if isinstance(system, ModifiedNonconservativeSystem):
             w = 0.1 * rng.normal(size=u.size)
             residual, jacobian = system.step_problem(state, dt, params)
             assert_close(residual(w), oracle.step_residual(w, state, dt, params))

@@ -10,7 +10,7 @@ from genalpha import (AdmissibilityError, GenAlphaParams,
                       second_order_identity_residual, shifted_state, step,
                       step_second_order)
 from genalpha.advdiff import Tridiagonal
-from genalpha.integrator import _divide, _solve
+from genalpha.integrator import _divide, _identity_defect, _solve
 from genalpha.odes import HarmonicOscillator, ScalarLinear
 from model_systems import GenericFirstOrder, PureDrift, SecondOrderDrift
 
@@ -49,6 +49,10 @@ class TestParams:
     def test_explicit_params_reject_nonfinite(self):
         with pytest.raises(ValueError):
             GenAlphaParams(float("nan"), 0.5, 0.5)
+        # finite triples whose derived beta is not: ** overflows, or + does
+        for triple in [(1e200, 0.5, 1e200), (1.7e308, -1.7e308, 0.5)]:
+            with pytest.raises(ValueError, match="beta"):
+                GenAlphaParams(*triple)
 
     def test_params_reject_zero_gamma(self):
         with pytest.raises(ValueError, match="gamma = 0"):
@@ -378,8 +382,7 @@ class TestSecondOrder:
 
     def test_identity_defect_when_gamma_perturbed(self):
         base = params_from_rho_inf(0.5)
-        p = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.2,
-                        beta=base.beta)
+        p = GenAlphaParams(base.alpha_m, base.alpha_f, base.gamma + 0.2)
         osc = HarmonicOscillator()
         state = SecondOrderState([1.0], [0.0], [-1.0], 0.0)
         nxt = step_second_order(osc, state, 0.5, p)
@@ -392,28 +395,31 @@ class TestSecondOrder:
         assert second_order_identity_residual(a, b, 0.1, p) == 0.0
 
     def test_stacked_states_give_each_step_defect_bitwise(self):
+        # the oscillator experiment applies the shared defect to the rows of
+        # its trajectory; each row must equal the call on that pair of states
         p = params_from_rho_inf(0.3)
         osc = HarmonicOscillator()
         states = [SecondOrderState([1.0], [0.5], [-1.0], 0.0)]
         dts = [0.01, 0.03, 0.02] * 4
         for dt in dts:
             states.append(step_second_order(osc, states[-1], dt, p))
-        rows = [np.array([getattr(s, name) for s in states])
-                for name in ("u", "u_dot", "u_ddot")]
-        stacked = second_order_identity_residual(
-            SecondOrderState(*(r[:-1] for r in rows), 0.0),
-            SecondOrderState(*(r[1:] for r in rows), 0.0),
-            np.array(dts)[:, None], p)
-        pairwise = [second_order_identity_residual(a, b, dt, p)
-                    for a, b, dt in zip(states, states[1:], dts)]
+        v, a = (np.array([getattr(s, name) for s in states])
+                for name in ("u_dot", "u_ddot"))
+        stacked = _identity_defect(a[:-1], a[1:], v[:-1], v[1:],
+                                   np.array(dts)[:, None], p)
+        pairwise = [second_order_identity_residual(before, after, dt, p)
+                    for before, after, dt in zip(states, states[1:], dts)]
         assert stacked.tobytes() == np.array(pairwise).tobytes()
 
-    def test_requires_beta(self):
-        p = GenAlphaParams(0.5, 0.5, 0.5)  # no beta attached
-        with pytest.raises(ValueError):
-            step_second_order(HarmonicOscillator(),
-                              SecondOrderState([1.0], [0.0], [-1.0], 0.0),
-                              0.1, p)
+    def test_beta_is_derived(self):
+        p = GenAlphaParams(0.5, 0.5, 0.5)
+        assert p.beta == 0.25
+        with pytest.raises(TypeError):
+            GenAlphaParams(0.5, 0.5, 0.5, beta=0.3)
+        s1 = step_second_order(HarmonicOscillator(),
+                               SecondOrderState([1.0], [0.0], [-1.0], 0.0),
+                               0.1, p)
+        assert s1.t == pytest.approx(0.1)
 
 
 class _NoDense(Tridiagonal):
