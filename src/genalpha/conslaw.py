@@ -3,15 +3,16 @@
 Three discretizations of U_t + F(U, U_x)_x = S on the periodic unit interval:
 
 * nonconservation variables V with the temporal term
-  (dU/dV)(V_{n+af}) V̇_{n+am} (NonconservativeSystem), a plain residual
-  system whose fully-discrete totals drift;
-* conservation variables (ConservedSystem), the identity-map case V = U of
-  the one set of kernels in `_PeriodicGalerkinBase`;
-* the modified scheme (ModifiedNonconservativeSystem) whose temporal term is
+  (dU/dV)(V_{n+af}) V̇_{n+am} (NonconservativeSystem), whose fully-discrete
+  totals drift;
+* conservation variables (ConservedSystem), the identity-map case V = U;
+* the modified scheme (ModifiedNonconservativeSystem), whose temporal term,
   the difference quotient of shifted conserved states
-  Û± = U(V) + (af - 1/2)*dt*(dU/dV)(V)*V̇, restoring the discrete balance
-  law.  It supplies the step problem, the step residual and Jacobian in
-  V̇_{n+1} that the generic `step` solves.
+  Û± = U(V) + (af - 1/2)*dt*(dU/dV)(V)*V̇, restores the discrete balance law.
+
+The three share one set of kernels and one step problem, those of
+`_PeriodicGalerkinBase`; the modified scheme supplies only its temporal
+term and Û⁻ to the step problem that the generic `step` solves.
 
 Linear nodal basis, 3-point Gauss quadrature per element everywhere, so the
 balance totals are identities of the same discrete integrals the residual
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AdmissibilityError
-from .integrator import (GenAlphaParams, StatePair, _blended_step_problem,
-                         _reuse_last, _update_base, shifted_state)
+from .integrator import (GenAlphaParams, StatePair, _reuse_last, _update_base,
+                         shifted_state)
 
 # 3-point Gauss rule on the reference element [0, 1]
 _QP = (0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6))
@@ -351,20 +353,30 @@ def project_periodic(space: PeriodicFemSpace, fn: Callable, p: int) -> np.ndarra
     return np.linalg.solve(mass, rhs).reshape(space.n_elements * p)
 
 
+class _Iterate(NamedTuple):
+    """One iterate's fields at the points, shared by its residual and Jacobian."""
+
+    v: np.ndarray         # V (V_{n+af} in a step) and its x-derivative
+    dv: np.ndarray
+    conserved: tuple      # their `_conserved_fields`: dU/dV, U and U_x
+    temporal: object      # the fields the scheme's temporal term needs
+
+
 class _PeriodicGalerkinBase:
     """The kernels of the three systems over a variable map U(V), with
     their geometry, step problem and audit plumbing.
 
-    R rows are int((dU/dV) V̇ W) - int(F W') - int(S W) at U(V), plus a
+    R rows are int(T W) - int(F W') - int(S W) at U(V), plus a
     componentwise gradient penalty of coefficient `stab` (it vanishes
-    against constant test functions).  The conserved system is the
-    identity-map case: `varmap=None` means V = U, and the kernels skip the
-    identity products dU/dV = I, H = 0.
+    against constant test functions), from `step_residual` and its Jacobian
+    `step_jacobian` alone.  The temporal term T is (dU/dV) V̇ except in the
+    modified scheme's step.  The conserved system is the identity-map case:
+    `varmap=None` means V = U, and the kernels skip dU/dV = I, H = 0.
 
     Every Jacobian a system's step problem builds is written into one (m, m)
     buffer of that system, allocated at its first step, so a step-problem
     Jacobian is valid until the system's next Jacobian call.  Public
-    `iteration_matrix` without `out` returns a new array.
+    `iteration_matrix` returns a new array.
     """
 
     def __init__(self, space: PeriodicFemSpace, model, varmap=None,
@@ -378,17 +390,38 @@ class _PeriodicGalerkinBase:
         self.x_quad = space.quad_points()
         self._jacobian = None
 
-    def _jacobian_buffer(self) -> np.ndarray:
+    def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
+        """The kernels in w = V̇_{n+1} at V_{n+af} and t_{n+af}, each iterate
+        built once for both by the scheme's `_step_terms`, which also gives
+        T and T's Jacobian; the Jacobians are built in the system's buffer."""
+        af, g = params.alpha_f, params.gamma
+        t_af = state_n.t + af * dt
+        v_base = _update_base(state_n.u, state_n.u_dot, dt, g)
+        v_af0, dt_g, c_u = (1.0 - af) * state_n.u, dt * g, af * g * dt
+        iterate_at, term, term_jacobian = self._step_terms(state_n, dt, params)
         if self._jacobian is None:
             self._jacobian = np.empty((self.m, self.m))
-        return self._jacobian
 
-    def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
-        """The default blended step problem, its Jacobians built in place."""
-        return _blended_step_problem(self, state_n, dt, params,
-                                     _update_base(state_n.u, state_n.u_dot, dt,
-                                                  params.gamma),
-                                     out=self._jacobian_buffer())
+        @_reuse_last
+        def iterate(w):
+            v_np1 = v_base + dt_g * w
+            return iterate_at(w, v_np1, v_af0 + af * v_np1)
+
+        def residual(w):
+            return self.step_residual(iterate(w), term, t_af)
+
+        def jacobian(w):
+            return self.step_jacobian(iterate(w), term_jacobian, c_u, t_af,
+                                      self._jacobian)
+        return residual, jacobian
+
+    def _step_terms(self, state_n, dt, params):
+        """A step's iterate at (w, V_{n+1}, V_{n+af}), T at an iterate and
+        T's Jacobian, for T = (dU/dV)(V_{n+af}) V̇_{n+am}."""
+        am = params.alpha_m
+        v_am0, c_u = (1.0 - am) * state_n.u_dot, params.alpha_f * params.gamma * dt
+        return (lambda w, v_np1, v_af: self._iterate(v_am0 + am * w, v_af),
+                self._rate, partial(self._rate_jacobian, am, c_u))
 
     def project(self, fn: Callable) -> np.ndarray:
         return project_periodic(self.space, fn, self.p)
@@ -415,57 +448,73 @@ class _PeriodicGalerkinBase:
         a0 = self.varmap._jacobian(v)
         return a0, self.varmap._to_conserved(v), _matvec(a0, dv)
 
-    def _model_blocks(self, v, dv, conserved, t):
-        """The Hessian H of U (None when V = U) and the V-derivative blocks
-        of the flux and of the source at checked points, given their
-        `_conserved_fields`: (H, F_val, F_der, S_val, S_der).
-
-        F and S depend on V through U(V) and U_x = (dU/dV) V_x, so each
-        derivative splits into a value part (A_U A0 + A_Ux (H : V_x)) and an
-        x-derivative part (A_Ux A0), with A0 = dU/dV.
-        """
-        a0, u, du = conserved
-        a_u, a_ux = self.model.flux_jacobian(u, du, self.x_quad, t)
-        s_u, s_ux = self.model.source_jacobian(u, du, self.x_quad, t)
-        if a0 is None:
-            return None, a_u, a_ux, s_u, s_ux
-        h = self.varmap._hessian(v)
-        h_dv = np.einsum("...jkl,...k->...jl", h, dv)
-        return (h, a_u @ a0 + a_ux @ h_dv, a_ux @ a0,
-                s_u @ a0 + s_ux @ h_dv, s_ux @ a0)
-
     def _shifted(self, v, v_dot, shift):
         """Û = U(V) + shift * (dU/dV)(V) V̇ at checked stacked points."""
         return (self.varmap._to_conserved(v)
                 + shift * _matvec(self.varmap._jacobian(v), v_dot))
 
-    def residual(self, v_dot, v, t):
+    def _iterate(self, v_dot, v, *checked_with) -> _Iterate:
+        """The iterate at (V̇, V) with V̇ as its temporal field, V checked
+        jointly with the V fields `checked_with`."""
         vals, derivs = _field_values(self.space, v, self.p)
         dot_vals, _ = _field_values(self.space, v_dot, self.p)
-        self._check(vals)
-        a0, u, du = self._conserved_fields(vals, derivs)
-        x = self.x_quad
-        flux = self.model.flux(u, du, x, t) - self.stab * derivs
-        rate = dot_vals if a0 is None else _matvec(a0, dot_vals)
-        temporal = rate - self.model.source(u, du, x, t)
-        return self.space.assemble_rows(temporal, flux)
+        self._check(*checked_with, vals)
+        return _Iterate(vals, derivs, self._conserved_fields(vals, derivs),
+                        dot_vals)
 
-    def iteration_matrix(self, c_dot, c_u, v_dot, v, t, out=None):
-        vals, derivs = _field_values(self.space, v, self.p)
-        self._check(vals)
-        conserved = self._conserved_fields(vals, derivs)
-        h, f_val, f_der, s_val, s_der = self._model_blocks(vals, derivs,
-                                                           conserved, t)
-        eye = np.eye(self.p)
+    @staticmethod
+    def _rate(it: _Iterate):
+        """The semi-discrete temporal term (dU/dV)(V) V̇ at an iterate."""
+        a0 = it.conserved[0]
+        return it.temporal if a0 is None else _matvec(a0, it.temporal)
+
+    def _rate_jacobian(self, c_dot: float, c_u: float, it: _Iterate, h):
+        """c_dot*d/dV̇ + c_u*d/dV of `_rate` at an iterate, H the Hessian there."""
         if h is None:
-            rate = c_dot * eye
-        else:
-            dot_vals, _ = _field_values(self.space, v_dot, self.p)
-            rate = (c_dot * conserved[0]
-                    + c_u * np.einsum("...jkl,...k->...jl", h, dot_vals))
+            return c_dot * np.eye(self.p)
+        return (c_dot * it.conserved[0]
+                + c_u * np.einsum("...jkl,...k->...jl", h, it.temporal))
+
+    def step_residual(self, it: _Iterate, temporal: Callable, t: float):
+        """Rows of R at an iterate, with T = temporal(it) at the points."""
+        _, u, du = it.conserved
+        x = self.x_quad
+        flux = self.model.flux(u, du, x, t) - self.stab * it.dv
+        return self.space.assemble_rows(
+            temporal(it) - self.model.source(u, du, x, t), flux)
+
+    def step_jacobian(self, it: _Iterate, temporal_jacobian: Callable,
+                      c_u: float, t: float, out) -> np.ndarray:
+        """The Jacobian of `step_residual` at an iterate, in `out` (a new
+        array when None).
+
+        `temporal_jacobian(it, H)` is T's block, given the Hessian H of U at
+        V (None when V = U), and c_u = dV/dw scales the flux and source
+        blocks.  F and S depend on V through U(V) and U_x = (dU/dV) V_x, so
+        each V-derivative splits into a value part (A_U A0 + A_Ux (H : V_x))
+        and an x-derivative part (A_Ux A0), with A0 = dU/dV.
+        """
+        a0, u, du = it.conserved
+        f_val, f_der = self.model.flux_jacobian(u, du, self.x_quad, t)
+        s_val, s_der = self.model.source_jacobian(u, du, self.x_quad, t)
+        h = None
+        if a0 is not None:
+            h = self.varmap._hessian(it.v)
+            h_dv = np.einsum("...jkl,...k->...jl", h, it.dv)
+            f_val, f_der = f_val @ a0 + f_der @ h_dv, f_der @ a0
+            s_val, s_der = s_val @ a0 + s_der @ h_dv, s_der @ a0
         return self.space.assemble_matrix(
-            rate - c_u * s_val, c_u * f_val, c_u * (f_der - self.stab * eye),
-            t_der=-c_u * s_der, out=out)
+            temporal_jacobian(it, h) - c_u * s_val, c_u * f_val,
+            c_u * (f_der - self.stab * np.eye(self.p)), t_der=-c_u * s_der,
+            out=out)
+
+    def residual(self, v_dot, v, t):
+        return self.step_residual(self._iterate(v_dot, v), self._rate, t)
+
+    def iteration_matrix(self, c_dot, c_u, v_dot, v, t):
+        return self.step_jacobian(self._iterate(v_dot, v),
+                                  partial(self._rate_jacobian, c_dot, c_u),
+                                  c_u, t, None)
 
     def total(self, coeffs) -> np.ndarray:
         """Integral of the pointwise conserved field U(V^h)."""
@@ -512,9 +561,8 @@ class ConservedSystem(_PeriodicGalerkinBase):
 class NonconservativeSystem(_PeriodicGalerkinBase):
     """Standard V-variable discretization: temporal term (dU/dV)(V_af) V̇_am.
 
-    A plain residual system for the generic stepper.  Its fully-discrete
-    conserved totals drift even for second-order parameters on a uniform
-    mesh; the audit records that drift.
+    Its fully-discrete conserved totals drift even for second-order
+    parameters on a uniform mesh; the audit records that drift.
     """
 
     admits_balance_law = False
@@ -525,47 +573,25 @@ class NonconservativeSystem(_PeriodicGalerkinBase):
         super().__init__(space, model, varmap)
 
 
-class _Iterate(NamedTuple):
-    """One Newton iterate's fields at the points, shared by the modified
-    scheme's step residual and Jacobian at that iterate."""
-
-    v_np1: np.ndarray     # V_{n+1}
-    w: np.ndarray         # V̇_{n+1}, the Newton unknown
-    v_af: np.ndarray      # V_{n+af} and its x-derivative
-    dv_af: np.ndarray
-    conserved_af: tuple   # dU/dV, U and U_x at V_{n+af}
-    a0_np1: np.ndarray    # dU/dV at V_{n+1}
-
-
 class ModifiedNonconservativeSystem(NonconservativeSystem):
     """V-variable discretization with the conservative shifted-state temporal term.
 
-    The temporal term is (Û+_{n+af+1/2} - Û-_{n+af-1/2})/dt tested against
-    W, which requires the whole step context, so the system supplies the
-    step problem that `step` solves.  The shifted-state quotient represents
-    the rate only for second-order parameters, and the shifted states chain
-    only on a uniform time mesh.  The inherited `residual` is the
-    semi-discrete equation, which gives the consistent initial rate; `step`
-    uses the step problem instead.
+    In a step, the temporal term is (Û+_{n+af+1/2} - Û-_{n+af-1/2})/dt
+    tested against W: it represents the rate only for second-order
+    parameters, and the shifted states chain only on a uniform time mesh.
+    The inherited `residual` is the semi-discrete equation, which gives the
+    consistent initial rate.
     """
 
     admits_balance_law = True
     requires_shifted_midpoint = True
 
-    def step_problem(self, state_n: StatePair, dt: float, params: GenAlphaParams):
-        """The modified scheme's residual and its exact Jacobian in V̇_{n+1}.
-
-        Û- = Û(V_n, V̇_n) depends on the step's start alone and is computed
-        once per step.  Each iterate's fields (`_Iterate`) and their
-        admissibility check, jointly with V_n's, are computed once for the
-        residual and the Jacobian at that iterate.  The Jacobians are built
-        in the system's one buffer.
-        """
+    def _step_terms(self, state_n, dt, params):
+        """Û- = Û(V_n, V̇_n) once per step, each iterate's joint check of V_n,
+        V_{n+1} and V_{n+af}, and the temporal term (Û+ - Û-)/dt with its
+        exact w-derivative (chain rule incl. H), Û+ = Û(V_{n+1}, w)."""
         af, g = params.alpha_f, params.gamma
         shift = (af - 0.5) * dt
-        t_af = state_n.t + af * dt
-        v_base = _update_base(state_n.u, state_n.u_dot, dt, g)
-        v_af0, dt_g = (1.0 - af) * state_n.u, dt * g
         vn, _ = _field_values(self.space, state_n.u, self.p)
         try:
             self._check(vn)
@@ -575,46 +601,19 @@ class ModifiedNonconservativeSystem(NonconservativeSystem):
             minus = self._shifted(
                 vn, _field_values(self.space, state_n.u_dot, self.p)[0], shift)
 
-        @_reuse_last
-        def fields(w):
-            v_np1 = v_base + dt_g * w
+        def iterate_at(w, v_np1, v_af):
             vp, _ = _field_values(self.space, v_np1, self.p)
-            vaf, dvaf = _field_values(self.space, v_af0 + af * v_np1, self.p)
-            self._check(vn, vp, vaf)
-            return _Iterate(vp, _field_values(self.space, w, self.p)[0], vaf, dvaf,
-                            self._conserved_fields(vaf, dvaf),
-                            self.varmap._jacobian(vp))
+            it = self._iterate(w, v_af, vn, vp)  # checked with V_n, V_{n+1}
+            return it._replace(temporal=(vp, it.temporal,
+                                         self.varmap._jacobian(vp)))
 
-        def residual(w):
-            return self.step_residual(fields(w), minus, dt, t_af, shift)
+        def term(it):
+            vp, w, a0_np1 = it.temporal
+            plus = self.varmap._to_conserved(vp) + shift * _matvec(a0_np1, w)
+            return (plus - minus) / dt
 
-        def jacobian(w):
-            return self.step_jacobian(fields(w), dt, t_af, params)
-        return residual, jacobian
-
-    def step_residual(self, it: _Iterate, minus, dt: float, t_af: float,
-                      shift: float):
-        """Residual at one iterate; `minus` is Û- and shift (af - 1/2)*dt."""
-        _, u, du = it.conserved_af
-        flux = self.model.flux(u, du, self.x_quad, t_af)
-        plus = (self.varmap._to_conserved(it.v_np1)
-                + shift * _matvec(it.a0_np1, it.w))
-        temporal = ((plus - minus) / dt
-                    - self.model.source(u, du, self.x_quad, t_af))
-        return self.space.assemble_rows(temporal, flux)
-
-    def step_jacobian(self, it: _Iterate, dt: float, t_af: float,
-                      params: GenAlphaParams):
-        """Exact derivative of `step_residual` in V̇_{n+1} (chain rule incl. H),
-        built in the system's Jacobian buffer."""
-        af, g = params.alpha_f, params.gamma
-        shift = af - 0.5
-        h_w = np.einsum("...jkl,...k->...jl",
-                        self.varmap._hessian(it.v_np1), it.w)
-        temporal = (g + shift) * it.a0_np1 + shift * g * dt * h_w
-        _, f_val, f_der, s_val, s_der = self._model_blocks(
-            it.v_af, it.dv_af, it.conserved_af, t_af)
-        c_u = af * g * dt  # dV_af/dW
-        return self.space.assemble_matrix(
-            temporal - c_u * s_val, c_u * f_val, c_u * f_der,
-            t_der=-c_u * s_der, out=self._jacobian_buffer())
+        def jacobian(it, h):
+            vp, w, a0_np1 = it.temporal
+            h_w = np.einsum("...jkl,...k->...jl", self.varmap._hessian(vp), w)
+            return (g + (af - 0.5)) * a0_np1 + (af - 0.5) * g * dt * h_w
+        return iterate_at, term, jacobian

@@ -15,7 +15,6 @@ structure for diagnostics and balance-law audits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol, Sequence
@@ -379,7 +378,6 @@ def _update_base(u_n, v_n, dt: float, gamma: float):
 
 def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
                           dt: float, params: GenAlphaParams, u_base,
-                          out: np.ndarray | None = None,
                           carry: _Carrier = _ARRAYS) -> tuple[Callable, Callable]:
     """The default step problem: R at the generalized-alpha blend of w.
 
@@ -387,8 +385,6 @@ def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
     alpha_m*dR/dU̇ + alpha_f*gamma*dt*dR/dU, both as functions of
     w = U̇_{n+1}; one iterate's blend is computed once for both.  `u_base`
     is `step`'s `_update_base`, carried as `carry` carries the fields.
-    Given `out`, every Jacobian is built in it by
-    `iteration_matrix(..., out=out)`.
     """
     am, af, g = params.alpha_m, params.alpha_f, params.gamma
     read, wrap = carry.read, carry.wrap
@@ -396,8 +392,6 @@ def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
     t_af = state_n.t + af * dt
     v_am0, u_af0 = (1.0 - am) * v_n, (1.0 - af) * u_n
     dt_g, c_u = dt * g, af * g * dt
-    matrix = (system.iteration_matrix if out is None
-              else functools.partial(system.iteration_matrix, out=out))
 
     @_reuse_last
     def blend(v):
@@ -408,7 +402,7 @@ def _blended_step_problem(system: ResidualSystem, state_n: StatePair,
         return read(system.residual(*blend(v), t_af))
 
     def jac(v):
-        return matrix(am, c_u, *blend(v), t_af)
+        return system.iteration_matrix(am, c_u, *blend(v), t_af)
     return res, jac
 
 

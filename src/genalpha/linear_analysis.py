@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +12,8 @@ from .integrator import (GenAlphaParams, NewtonSettings, StatePair,
 from .odes import ScalarLinear
 
 _EPS = np.finfo(float).eps
+# steps per rung of an order study: about 420 B of state each, so ~0.4 GB
+_MAX_LADDER_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,15 @@ def _check_ladder(dt_values: Sequence[float]) -> None:
 
 def ladder_steps(t_final: float, dt_values: Sequence[float]) -> list[int]:
     """Steps each dt takes to t_final in an order study, whose dt ladder
-    needs at least 3 strictly decreasing dts, each dividing t_final into a
-    finite number of steps."""
+    needs at least 3 strictly decreasing dts, each dividing t_final into at
+    most `_MAX_LADDER_STEPS` steps."""
     _check_ladder(dt_values)
     steps = []
     for dt in dt_values:
         ratio = t_final / dt
-        if not math.isfinite(ratio):
-            raise ValueError(f"t_final/dt = {t_final}/{dt} is not finite")
+        if not ratio <= _MAX_LADDER_STEPS:
+            raise ValueError(f"t_final/dt = {t_final}/{dt} is not a count "
+                             f"of at most {_MAX_LADDER_STEPS} steps")
         steps.append(round(ratio))
         if abs(steps[-1] * dt - t_final) > 1e-9 * t_final:
             raise ValueError(f"t_final={t_final} is not a multiple of dt={dt}")

@@ -194,6 +194,10 @@ OUT_OF_RANGE_CONFIGS = {
     "dt_list-steps-overflow": ("[experiment]\nname = ode-convergence\n"
                                "[integrator]\nt_final = 1e300\n"
                                "dt_list = 1e-10,5e-11,2.5e-11\n", 5),
+    # finite, but 1e305 steps: more than a rung may take
+    "dt_list-steps-huge": ("[experiment]\nname = ode-convergence\n"
+                           "[integrator]\nt_final = 1e300\n"
+                           "dt_list = 1e-5,5e-6,2.5e-6\n", 5),
     # a schedule without `repeat` sets the step count itself
     "schedule-n_steps-no-repeat": ("[experiment]\nname = conslaw-balance\n"
                                    "[integrator]\ndt_schedule = 0.001,0.002\n"

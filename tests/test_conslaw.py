@@ -718,9 +718,9 @@ class TestBatchedKernelsMatchLoopOracle:
 @pytest.mark.parametrize("case", ["burgers-viscous-source",
                                   "burgers-gradient-source", "euler"])
 def test_identity_map_is_the_conserved_system(case, n):
-    # the V-variable kernels under U(V) = V give the conserved kernels' bits;
-    # the shifted total integrates U + shift*U̇ pointwise, not the shifted
-    # coefficients, so it agrees to rounding
+    # the V-variable kernels and step problem under U(V) = V give the
+    # conserved ones' bits; the shifted total integrates U + shift*U̇
+    # pointwise, not the shifted coefficients, so it agrees to rounding
     build, kind = ORACLE_CASES[case]
     rng = np.random.default_rng(2000 + n)
     conserved = build(PeriodicFemSpace(n))
@@ -728,17 +728,20 @@ def test_identity_map_is_the_conserved_system(case, n):
                                    IdentityMap(conserved.p))
     u = random_admissible(conserved, kind, rng)
     u_dot = 0.1 * rng.normal(size=u.size)
-    t, dt, alpha_f = 0.3, 1e-2, params_from_rho_inf(0.5).alpha_f
+    w = 0.1 * rng.normal(size=u.size)
+    t, dt, params = 0.3, 1e-2, params_from_rho_inf(0.5)
+    state = StatePair(u, u_dot, t)
 
     def outputs(system):
+        residual, jacobian = system.step_problem(state, dt, params)
         return (system.residual(u_dot, u, t),
-                system.iteration_matrix(0.8, 0.15, u_dot, u, t))
+                system.iteration_matrix(0.8, 0.15, u_dot, u, t),
+                residual(w), jacobian(w))
 
     for got, want in zip(outputs(mapped), outputs(conserved)):
         assert got.tobytes() == want.tobytes()
-    state = StatePair(u, u_dot, t)
     for total in (lambda s: s.total(u),
-                  lambda s: s.shifted_balance_total(state, dt, alpha_f),
+                  lambda s: s.shifted_balance_total(state, dt, params.alpha_f),
                   lambda s: s.balance_source(u, t)):
         want = total(conserved)
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -973,6 +976,35 @@ BUILDERS = {"burgers-viscous-source": _burgers_viscous_source,
             "euler-conserved-64": _euler_conserved_64,
             "standard-primitive": _standard_primitive,
             "modified-primitive": _modified_primitive}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_each_iterate_fields_computed_once(build):
+    # Newton evaluates the residual at each iterate and the Jacobian at all
+    # but the last, so one `_conserved_fields` call per residual means each
+    # Jacobian reuses its residual's fields
+    system = build()
+    u = _initial(system)
+    state = StatePair(u, consistent_initial_rate(system, u), 0.0)
+    calls = {"fields": 0, "residuals": 0}
+    conserved_fields, step_problem = system._conserved_fields, system.step_problem
+
+    def counted_fields(*args):
+        calls["fields"] += 1
+        return conserved_fields(*args)
+
+    def counted_problem(*args):
+        residual, jacobian = step_problem(*args)
+
+        def counted_residual(w):
+            calls["residuals"] += 1
+            return residual(w)
+        return counted_residual, jacobian
+
+    system._conserved_fields, system.step_problem = counted_fields, counted_problem
+    step(system, state, 2e-3, params_from_rho_inf(0.5))
+    assert calls["residuals"] >= 3  # at least two Jacobians
+    assert calls["fields"] == calls["residuals"]
 
 
 class TestJacobianBuffer:

@@ -95,27 +95,70 @@ for system, x in ((ConservedSystem(space, Burgers1D(0.01)), u),
                                          PressurePrimitiveMap(1.4)), v)):
     system.residual(0.5 * x, x, 0.0)
     system.iteration_matrix(0.8, 0.1, 0.5 * x, x, 0.0)
-print(json.dumps([span[:3] for span in tracer.spans]))
+print(json.dumps({"spans": [span[:3] for span in tracer.spans]}))
 """
+
+
+def _traced(script):
+    """Spans {id: (parent, name)} and output of `script` run under the
+    tracer in a fresh interpreter, which prints its spans and counts."""
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench")],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    out = json.loads(run.stdout)
+    return {sid: (parent, name) for sid, parent, name in out["spans"]}, out
+
+
+def _ancestors(spans, sid):
+    parent = spans[sid][0]
+    while parent is not None:
+        yield spans[parent][1]
+        parent = spans[parent][0]
 
 
 def test_tracer_spans_each_kernel_call_once():
     # both classes' targets resolve to the one base-class kernel, which must
     # be wrapped once: one span per call, none inside a span of its own kind
-    run = subprocess.run(
-        [sys.executable, "-c", _TRACED_KERNELS, str(ROOT / "perfbench")],
-        check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    spans = {sid: (parent, name) for sid, parent, name in json.loads(run.stdout)}
-
-    def ancestors(sid):
-        parent = spans[sid][0]
-        while parent is not None:
-            yield spans[parent][1]
-            parent = spans[parent][0]
-
+    spans, _ = _traced(_TRACED_KERNELS)
     for kind in ("conslaw.residual", "conslaw.iteration_matrix"):
         own = [sid for sid, (_, name) in spans.items() if name == kind]
         assert len(own) == 2
-        assert all(kind not in ancestors(sid) for sid in own)
+        assert all(kind not in _ancestors(spans, sid) for sid in own)
 
+
+# one step of each conslaw scheme, traced
+_TRACED_STEPS = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import NEWTON_COUNTS, Tracer
+tracer = Tracer("steps")
+tracer.install()
+from genalpha.conslaw import (Burgers1D, ConservedSystem, Euler1D,
+                              ModifiedNonconservativeSystem,
+                              NonconservativeSystem, PeriodicFemSpace,
+                              PressurePrimitiveMap)
+from genalpha.integrator import StatePair, params_from_rho_inf, step
+space = PeriodicFemSpace(8)
+u = 0.1 * np.sin(np.arange(8.0))
+v = np.tile([1.0, 0.1, 1.0], 8) + 0.01 * np.sin(np.arange(24.0))
+args = (space, Euler1D(1.4), PressurePrimitiveMap(1.4))
+for system, x in ((ConservedSystem(space, Burgers1D(0.01)), u),
+                  (NonconservativeSystem(*args), v),
+                  (ModifiedNonconservativeSystem(*args), v)):
+    step(system, StatePair(x, np.zeros_like(x), 0.0), 1e-3,
+         params_from_rho_inf(0.5))
+print(json.dumps({"spans": [span[:3] for span in tracer.spans],
+                  "residual_evals": tracer.counts[NEWTON_COUNTS[1]]}))
+"""
+
+
+def test_step_spans_are_the_shared_kernels():
+    # every scheme's step evaluates the one kernel pair, not the public
+    # semi-discrete residual and iteration matrix
+    spans, out = _traced(_TRACED_STEPS)
+    in_steps = [name for sid, (_, name) in spans.items()
+                if "integrator.step" in _ancestors(spans, sid)]
+    assert not {"conslaw.residual", "conslaw.iteration_matrix"} & set(in_steps)
+    assert in_steps.count("conslaw.step_residual") == out["residual_evals"] > 3
